@@ -1,7 +1,7 @@
 // E10 -- parallel schedule exploration: the work-stealing explorer over the
-// sharded memo table vs. the sequential pass, on identical workloads.
+// lock-free memo table vs. the sequential pass, on identical workloads.
 //
-// threads=1 is the exact sequential legacy path (explore()); threads>1 runs
+// threads=1 is the sequential explorer itself (explore()); threads>1 runs
 // discovery in parallel and reproduces the sequential statistics by
 // canonical replay, so every variant reports the same `configs` counter --
 // only the wall-clock differs.  Speedup requires real cores: on a
@@ -11,41 +11,14 @@
 // Emits BENCH_e10_parallel_explore.json (Google Benchmark JSON schema).
 #include <benchmark/benchmark.h>
 
-#include <memory>
-#include <string>
-#include <vector>
-
 #include "bench_json_main.hpp"
+#include "register_race.hpp"
 #include "wfregs/runtime/explorer.hpp"
-#include "wfregs/typesys/type_zoo.hpp"
 
 namespace {
 
 using namespace wfregs;
-
-// k processes hammering one shared 4-valued register with (write; read)^ops
-// programs that fold the read back into process state -- the same
-// configuration DAG bench_e7's BM_Explorer measures, here sized to give the
-// parallel frontier enough breadth to matter.
-Engine register_race(int procs, int ops) {
-  const zoo::RegisterLayout lay{4};
-  const auto spec =
-      std::make_shared<const TypeSpec>(zoo::register_type(4, procs));
-  auto sys = std::make_shared<System>(procs);
-  std::vector<PortId> ports;
-  for (PortId p = 0; p < procs; ++p) ports.push_back(p);
-  const ObjectId r = sys->add_base(spec, 0, ports);
-  for (ProcId p = 0; p < procs; ++p) {
-    ProgramBuilder b;
-    for (int k = 0; k < ops; ++k) {
-      b.invoke(0, lit(lay.write((p + k) % 4)), 0);
-      b.invoke(0, lit(lay.read()), 1);
-    }
-    b.ret(reg(1));
-    sys->set_toplevel(p, b.build("p" + std::to_string(p)), {r});
-  }
-  return Engine{std::move(sys)};
-}
+using benchjson::register_race;
 
 void BM_ExploreParallel(benchmark::State& state) {
   const int procs = static_cast<int>(state.range(0));

@@ -1,7 +1,9 @@
 // E12 -- the compiled execution core: undo-based exploration over interned
-// configurations (explore) head-to-head against the pre-refactor
-// copy-the-engine-to-branch explorer (explore_legacy), on E7's BM_Explorer
-// workload so configs/sec is directly comparable with the historical record.
+// configurations (explore) on E7's BM_Explorer workload, so configs/sec is
+// directly comparable with the historical record.  The copy-the-engine
+// explorer it replaced is gone; its in-binary throughput and peak RSS on
+// these workloads are recorded in EXPERIMENTS.md (E12), which is what this
+// bench's numbers are read against.
 //
 // Per benchmark the JSON carries:
 //   configs          -- configurations explored (deterministic per workload)
@@ -11,28 +13,18 @@
 //   spilled_bytes / resident_arena_bytes -- out-of-core arena residency
 //                           (0 when the run stays in-core)
 //
-// Ordering matters for the RSS counter: peak RSS is monotone over the
-// process lifetime, so all compiled benchmarks are registered (and run)
-// before any legacy one -- their readings bound the compiled core's
-// footprint, while the legacy readings include everything before them and
-// only the final maximum is meaningful (that maximum is what
-// check_bench_regression.py gates).
-//
-// The legacy benchmarks also cross-check their outcome against explore()
-// on the same root: any divergence in configs / edges / depth / verdict is
-// reported via SkipWithError, which sets error_occurred in the JSON and
-// fails the CI gate -- the speedup can never be bought with a wrong answer.
+// Peak RSS is monotone over the process lifetime, so only the final
+// maximum is meaningful (that maximum is what check_bench_regression.py
+// gates).
 //
 // Emits BENCH_e12_compiled_core.json (Google Benchmark JSON schema).
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "bench_json_main.hpp"
+#include "register_race.hpp"
 #include "wfregs/runtime/explorer.hpp"
-#include "wfregs/typesys/type_zoo.hpp"
 
 namespace {
 
@@ -49,30 +41,6 @@ constexpr Workload kWorkloads[] = {
     {3, 3, "3p3o"}, {4, 2, "4p2o"},
 };
 
-// E7's BM_Explorer system, verbatim: k writers hammering one shared
-// 4-valued register with (write; read)^ops programs folding the read back
-// into process state.  Rebuilt inside the timing loop, exactly as E7 does,
-// so the two throughput records stay comparable.
-Engine make_root(int procs, int ops) {
-  const zoo::RegisterLayout lay{4};
-  const auto spec =
-      std::make_shared<const TypeSpec>(zoo::register_type(4, procs));
-  auto sys = std::make_shared<System>(procs);
-  std::vector<PortId> ports;
-  for (PortId p = 0; p < procs; ++p) ports.push_back(p);
-  const ObjectId r = sys->add_base(spec, 0, ports);
-  for (ProcId p = 0; p < procs; ++p) {
-    ProgramBuilder b;
-    for (int k = 0; k < ops; ++k) {
-      b.invoke(0, lit(lay.write((p + k) % 4)), 0);
-      b.invoke(0, lit(lay.read()), 1);
-    }
-    b.ret(reg(1));
-    sys->set_toplevel(p, b.build("p" + std::to_string(p)), {r});
-  }
-  return Engine{std::move(sys)};
-}
-
 void set_counters(benchmark::State& state, const ExploreStats& stats) {
   state.counters["configs"] = static_cast<double>(stats.configs);
   state.counters["interned_configs"] =
@@ -86,39 +54,12 @@ void set_counters(benchmark::State& state, const ExploreStats& stats) {
 void BM_Compiled(benchmark::State& state, Workload w) {
   ExploreStats stats;
   for (auto _ : state) {
-    const Engine root = make_root(w.procs, w.ops);
+    // Rebuilt inside the timing loop, exactly as E7 does, so the two
+    // throughput records stay comparable.
+    const Engine root = benchjson::register_race(w.procs, w.ops);
     const auto out = explore(root);
     benchmark::DoNotOptimize(out.stats.configs);
     stats = out.stats;
-  }
-  set_counters(state, stats);
-}
-
-void BM_Legacy(benchmark::State& state, Workload w) {
-  ExploreStats stats;
-  for (auto _ : state) {
-    const Engine root = make_root(w.procs, w.ops);
-    const auto out = explore_legacy(root, ExploreOptions{});
-    benchmark::DoNotOptimize(out.stats.configs);
-    stats = out.stats;
-  }
-  // Differential check, outside the timing loop: the compiled explorer must
-  // reproduce the legacy outcome bit for bit on this workload.
-  const Engine root = make_root(w.procs, w.ops);
-  const auto legacy = explore_legacy(root, ExploreOptions{});
-  const auto compiled = explore(root);
-  if (compiled.wait_free != legacy.wait_free ||
-      compiled.complete != legacy.complete ||
-      compiled.violation != legacy.violation ||
-      compiled.stats.configs != legacy.stats.configs ||
-      compiled.stats.edges != legacy.stats.edges ||
-      compiled.stats.terminals != legacy.stats.terminals ||
-      compiled.stats.interned_configs != legacy.stats.interned_configs ||
-      compiled.stats.depth != legacy.stats.depth) {
-    state.SkipWithError(
-        (std::string("compiled/legacy outcome mismatch on ") + w.tag)
-            .c_str());
-    return;
   }
   set_counters(state, stats);
 }
@@ -128,12 +69,6 @@ void register_all() {
     benchmark::RegisterBenchmark(
         (std::string("compiled_core/") + w.tag + "/compiled").c_str(),
         BM_Compiled, w)
-        ->Unit(benchmark::kMillisecond);
-  }
-  for (const Workload& w : kWorkloads) {
-    benchmark::RegisterBenchmark(
-        (std::string("compiled_core/") + w.tag + "/legacy").c_str(),
-        BM_Legacy, w)
         ->Unit(benchmark::kMillisecond);
   }
 }

@@ -100,7 +100,10 @@ void BM_Explorer(benchmark::State& state) {
         b.invoke(0, lit(lay.read()), 1);
       }
       b.ret(reg(1));
-      sys->set_toplevel(p, b.build("p" + std::to_string(p)), {r});
+      // Appended: g++ 12 -O3 misreports `"p" + std::to_string(p)`.
+      std::string name = "p";
+      name += std::to_string(p);
+      sys->set_toplevel(p, b.build(name), {r});
     }
     const Engine root{std::move(sys)};
     const auto out = explore(root);

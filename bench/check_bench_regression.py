@@ -29,19 +29,14 @@ Suite mode (the e12 compiled-core gate):
 reads baseline["suites"][<name>] and applies:
 
 1. Configs identity: every baselined benchmark's ``configs`` counter must
-   EQUAL the baseline exactly (the counts are deterministic; the compiled
-   and legacy explorers are contractually bit-identical, so there is no
-   tolerance to give).
+   EQUAL the baseline exactly (the counts are deterministic, so there is
+   no tolerance to give).
 2. Intern-pool identity: wherever a benchmark reports ``interned_configs``
    it must equal its ``configs`` (arena bookkeeping cross-check).
 3. Memory gate: the maximum ``peak_rss_bytes`` over the run must not exceed
    baseline ``max_peak_rss_bytes`` by more than ``rss_tolerance`` (15%) --
    peak RSS is process-monotone, so the maximum is the only portable
    per-binary reading.
-4. Informational speedup: for every workload present as both .../compiled
-   and .../legacy, the configs_per_sec ratio is printed (not gated:
-   wall-clock is noise on shared runners; the record lives in
-   EXPERIMENTS.md).
 
 Suites can also declare ``min_counters`` (benchmark name -> {counter:
 floor}); each listed counter must be at or above its floor.  The e15 suite
@@ -227,17 +222,6 @@ def check_suite(run, suite, suite_name):
                 failed = True
             else:
                 print(f"ok:   {name}: {counter} {got} (ceiling {ceiling})")
-
-    # 4. Informational compiled/legacy throughput ratios.
-    for name in sorted(base_configs):
-        if not name.endswith("/compiled"):
-            continue
-        peer = name[:-len("/compiled")] + "/legacy"
-        a = run.get(name, {}).get("configs_per_sec")
-        b = run.get(peer, {}).get("configs_per_sec")
-        if a and b:
-            print(f"info: {name[:-len('/compiled')]}: compiled/legacy "
-                  f"throughput = {a / b:.2f}x (not gated)")
 
     return 1 if failed else 0
 

@@ -1,6 +1,5 @@
 // A lock-free open-addressing interner: word-sequence keys -> exactly-once
-// constructed payloads, replacing the parallel explorer's 64 mutex-striped
-// (ConfigInterner, arena) shard pairs.
+// constructed payloads, the parallel explorer's shared memo table.
 //
 // CLAIM PROTOCOL (the two-phase publication the tests race):
 //
@@ -95,7 +94,8 @@ class ConcurrentInterner {
       }
       const Ref r = claim(*head, words, hash, c);
       if (r.value != nullptr) return r;
-      // head was sealed under us; reload the successor and try again.
+      // head was sealed under us (or is full while its grower installs the
+      // successor); reload the current table and try again.
     }
   }
 
@@ -194,10 +194,15 @@ class ConcurrentInterner {
 
   /// Published node for `words` in `t`, or nullptr.  Waits out in-flight
   /// reservations met along the probe path (publication is imminent).
+  /// The probe visits each slot at most once: a sealed table can fill up
+  /// completely with nodes and tombstones (claimers that keep meeting it
+  /// while its grower is descheduled tombstone every empty slot), and then
+  /// no empty slot ends the chain.
   static Node* search(const Table& t, std::span<const std::uint64_t> words,
                       std::uint64_t hash) {
-    for (std::size_t slot = static_cast<std::size_t>(hash) & t.mask;;
-         slot = (slot + 1) & t.mask) {
+    std::size_t slot = static_cast<std::size_t>(hash) & t.mask;
+    for (std::size_t probes = 0; probes <= t.mask;
+         ++probes, slot = (slot + 1) & t.mask) {
       Node* n = t.slots[slot].load(std::memory_order_seq_cst);
       while (n == reserved_sentinel()) {
         // Mid-publication: the claimer is two stores from done (or about
@@ -208,15 +213,18 @@ class ConcurrentInterner {
       if (n == tombstone_sentinel()) continue;
       if (key_equals(*n, words, hash)) return n;
     }
+    return nullptr;
   }
 
   /// Claims or finds `words` in `head`.  Ref.value == nullptr means `head`
-  /// got sealed out from under the claim: caller must retry on the new
-  /// current table.
+  /// got sealed out from under the claim, or is full (which only a table
+  /// whose growth is under way can be): caller must retry on the current
+  /// table.
   Ref claim(Table& head, std::span<const std::uint64_t> words,
             std::uint64_t hash, ContentionCounters& c) {
-    for (std::size_t slot = static_cast<std::size_t>(hash) & head.mask;;
-         slot = (slot + 1) & head.mask) {
+    std::size_t slot = static_cast<std::size_t>(hash) & head.mask;
+    for (std::size_t probes = 0; probes <= head.mask;
+         ++probes, slot = (slot + 1) & head.mask) {
       Node* cur = head.slots[slot].load(std::memory_order_seq_cst);
       if (cur == nullptr) {
         Node* expected = nullptr;
@@ -253,6 +261,7 @@ class ConcurrentInterner {
       if (cur == tombstone_sentinel()) continue;
       if (key_equals(*cur, words, hash)) return Ref{&cur->value, false};
     }
+    return Ref{nullptr, false};
   }
 
   void maybe_grow(Table& head) {

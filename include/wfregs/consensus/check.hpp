@@ -72,7 +72,7 @@ std::shared_ptr<System> consensus_scenario(
 
 /// Runs the full check over all 2^n input vectors.  Each root's exploration
 /// runs on options.threads workers (0 = hardware concurrency, 1 = the
-/// sequential legacy path); see the PARALLEL EXPLORATION contract in
+/// sequential explorer); see the PARALLEL EXPLORATION contract in
 /// explorer.hpp.
 ConsensusCheckResult check_consensus(
     std::shared_ptr<const Implementation> impl,

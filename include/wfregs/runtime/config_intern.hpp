@@ -1,21 +1,20 @@
 // Configuration interning: the explorers' memo-table substrate.
 //
-// A ConfigKey is a short vector of 64-bit words.  The legacy memo tables
-// (std::unordered_map<ConfigKey, ...>) paid one heap allocation for the key
-// vector plus one for the map node on every distinct configuration, and the
-// FNV-1a key hash mixed words weakly (sequential small-integer words --
-// exactly what configuration keys are made of -- landed in clustered
+// A ConfigKey is a short vector of 64-bit words.  A node-based memo table
+// (std::unordered_map<ConfigKey, ...>) pays one heap allocation for the key
+// vector plus one for the map node on every distinct configuration, and an
+// FNV-1a key hash mixes words weakly (sequential small-integer words --
+// exactly what configuration keys are made of -- land in clustered
 // buckets).  This header provides the replacement:
 //
 //   * config_mix64 / config_hash_words -- a splitmix64-style per-word mixer
-//     with full 64-bit avalanche, shared by ConfigKeyHash and the interner
-//     so one hash computation serves shard selection, probing and caching;
+//     with full 64-bit avalanche, shared by ConfigKeyHash and the interners
+//     so one hash computation serves probing and caching;
 //   * ConfigInterner -- an arena pool that stores every distinct key's
 //     words contiguously and maps each key to a dense u32 id through an
 //     open-addressing flat table (power-of-two capacity, linear probing,
 //     cached full hashes).  Ids are assigned in insertion order, so the
-//     sequential explorer's node ids are deterministic, and per-shard ids
-//     in the parallel table are stable for the lifetime of the shard.
+//     sequential explorer's node ids are deterministic.
 #pragma once
 
 #include <cstddef>
@@ -45,8 +44,9 @@ constexpr std::uint64_t config_hash_words(
   return concurrent::hash_words(words);
 }
 
-/// Arena-pooled key -> dense id map (see the header comment).  Not
-/// thread-safe; the parallel explorer wraps one per locked shard.
+/// Arena-pooled key -> dense id map (see the header comment): the
+/// sequential explorer's in-RAM key store.  Not thread-safe (the parallel
+/// explorer uses concurrent::ConcurrentInterner).
 class ConfigInterner {
  public:
   static constexpr std::uint32_t kNotFound = 0xffffffffu;

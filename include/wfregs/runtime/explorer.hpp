@@ -30,18 +30,11 @@
 //
 // PARALLEL EXPLORATION (explore_parallel) extends the contract:
 //
-//   * The memo table is a single lock-free interner (CAS slot reservation,
-//     two-phase publication -- wfregs/concurrent/interner.hpp); the
-//     frontier is a set of Chase-Lev work-stealing deques (owner push/pop
-//     wait-free, steals lock-free -- wfregs/concurrent/ws_deque.hpp); and
-//     per-worker statistics flow through a wait-free atomic-snapshot
-//     aggregator (wfregs/concurrent/snapshot.hpp).  Subtrees of the
-//     configuration DAG are claimed by whichever worker first publishes the
-//     configuration, so its terminal check runs on that worker -- the
-//     TerminalCheck must be safe to invoke concurrently (all checks in this
-//     library capture only const data).  The prior mutex-striped engine is
-//     retained verbatim as explore_parallel_locked for differential testing
-//     and contention benchmarking.
+//   * Workers share one lock-free memo table and a set of work-stealing
+//     deques (see src/runtime/explorer_parallel.cpp).  A configuration is
+//     expanded by whichever worker first publishes it, so its terminal
+//     check runs on that worker -- the TerminalCheck must be safe to invoke
+//     concurrently (all checks in this library capture only const data).
 //   * DETERMINISM GUARANTEE: whenever discovery runs to completion (limits
 //     not hit, and no early stop -- i.e. no violation exists or
 //     stop_at_violation is false), the outcome is BIT-IDENTICAL to
@@ -65,8 +58,8 @@
 // changing any verdict (see reduction.hpp for the machinery and the
 // soundness argument):
 //
-//   * kNone is bit-identical to the historical explorer -- same code path,
-//     same counters, same messages.
+//   * kNone explores the plain configuration graph: no sleep mask, no
+//     renaming.
 //   * kSleep applies sleep-set partial-order reduction: nodes become
 //     (configuration, sleep mask) pairs, memoized and cycle-checked
 //     exactly; wait-freedom, violation presence, depth and access bounds
@@ -182,10 +175,10 @@ struct ExploreOptions {
   /// Out-of-core storage: memory budget + spill directory for the interned
   /// configuration store, and crash-safe checkpoint/resume of the
   /// exploration frontier (see wfregs/storage/options.hpp).  When
-  /// storage.enabled(), every explore entry point routes to the
-  /// storage-backed engine (src/runtime/explorer_ooc.cpp), which is
-  /// bit-identical to explore() in every mode -- parallel entry points
-  /// included, since their contract is already "identical to sequential".
+  /// storage.enabled(), the sequential explorer keeps its keys in a
+  /// spillable delta-coded store instead of RAM, with identical outcomes in
+  /// every mode; parallel entry points then run it too, since their
+  /// contract is already "identical to sequential".
   storage::StorageOptions storage{};
 };
 
@@ -194,25 +187,17 @@ struct ExploreOptions {
 ExploreOutcome explore(const Engine& root, const ExploreLimits& limits = {},
                        const TerminalCheck& check = {});
 
-/// As above, with a reduction mode.  options.reduction == kNone is
-/// bit-identical to explore(root, options.limits, check).
+/// As above, with a reduction mode and storage settings.
+/// options.reduction == kNone is bit-identical to
+/// explore(root, options.limits, check).
 ExploreOutcome explore(const Engine& root, const ExploreOptions& options,
                        const TerminalCheck& check = {});
-
-/// The pre-compiled-core reference explorer: copy-the-engine-to-branch DFS
-/// over a std::unordered_map memo, kept verbatim for differential testing
-/// and the E12 speedup measurement.  Produces bit-identical ExploreOutcomes
-/// to explore() in every mode; new code should always call explore().
-ExploreOutcome explore_legacy(const Engine& root,
-                              const ExploreOptions& options,
-                              const TerminalCheck& check = {});
 
 /// Explores all executions from `root` on `n_threads` workers over the
 /// lock-free memo table and work-stealing frontier (see PARALLEL
 /// EXPLORATION above for the determinism guarantee).  `n_threads` == 0
-/// picks std::thread::hardware_concurrency(); 1 is the exact sequential
-/// legacy path (explore() itself).  `check` must be safe to invoke
-/// concurrently.
+/// picks std::thread::hardware_concurrency(); 1 runs explore() itself.
+/// `check` must be safe to invoke concurrently.
 ExploreOutcome explore_parallel(const Engine& root,
                                 const TerminalCheck& check = {},
                                 const ExploreLimits& limits = {},
@@ -226,28 +211,6 @@ ExploreOutcome explore_parallel(const Engine& root,
 ExploreOutcome explore_parallel(const Engine& root, const TerminalCheck& check,
                                 const ExploreOptions& options,
                                 int n_threads = 0);
-
-/// The lock-free parallel engine itself, without the threads == 1 ->
-/// explore() dispatch: runs the full discovery + canonical-replay machinery
-/// at ANY n_threads >= 1 (0 still picks hardware concurrency).  This is
-/// what explore_parallel calls for n_threads != 1; it is exposed so the
-/// contention bench can measure the machinery's single-thread overhead
-/// against explore_parallel_locked under the same harness.
-ExploreOutcome explore_parallel_lockfree(const Engine& root,
-                                         const TerminalCheck& check,
-                                         const ExploreOptions& options,
-                                         int n_threads = 0);
-
-/// The prior mutex-based parallel engine (64-way lock-striped memo shards,
-/// mutexed per-worker frontier deques), retained verbatim: the differential
-/// reference for the lock-free engine and the baseline of the E17
-/// contention bench.  Same outcome contract as explore_parallel_lockfree;
-/// runs its machinery at any n_threads >= 1.  New code should call
-/// explore_parallel.
-ExploreOutcome explore_parallel_locked(const Engine& root,
-                                       const TerminalCheck& check,
-                                       const ExploreOptions& options,
-                                       int n_threads = 0);
 
 /// A static decision about a consensus job: produced by a
 /// VerifyOptions::static_consensus hook when theory already settles the
@@ -269,8 +232,8 @@ struct StaticConsensusDecision {
 /// thread count.
 struct VerifyOptions {
   ExploreLimits limits;
-  /// Explorer worker threads: 0 = hardware concurrency, 1 = the exact
-  /// sequential legacy path.
+  /// Explorer worker threads: 0 = hardware concurrency, 1 = the sequential
+  /// explorer (explore()).
   int threads = 0;
   /// Optional fail-fast hook run on the implementation before any
   /// exploration: return an error description to abort the verification
@@ -301,11 +264,15 @@ struct VerifyOptions {
 };
 
 namespace detail {
-/// The out-of-core sequential engine behind ExploreOptions::storage:
-/// spillable delta-compressed interning plus crash-safe checkpoint/resume.
-/// Exposed for the storage test suite; call explore() instead.
-ExploreOutcome explore_ooc(const Engine& root, const ExploreOptions& options,
-                           const TerminalCheck& check);
+/// The parallel engine itself, without explore_parallel's threads == 1 ->
+/// explore() dispatch: runs the full discovery + canonical-replay
+/// machinery at ANY n_threads >= 1 (0 still picks hardware concurrency).
+/// Exposed so tests and the contention bench can hold the machinery to
+/// explore() at one thread; call explore_parallel instead.
+ExploreOutcome explore_parallel_lockfree(const Engine& root,
+                                         const TerminalCheck& check,
+                                         const ExploreOptions& options,
+                                         int n_threads = 0);
 }  // namespace detail
 
 }  // namespace wfregs

@@ -54,7 +54,7 @@ namespace wfregs {
 
 /// Reduction mode for the explorers (ExploreOptions::reduction).
 enum class Reduction {
-  kNone,           ///< bit-identical legacy exploration
+  kNone,           ///< the plain configuration graph, unreduced
   kSleep,          ///< sleep-set partial-order reduction
   kSleepSymmetry,  ///< sleep sets + process-symmetry canonicalization
 };
@@ -160,8 +160,9 @@ class ReductionContext {
   };
 
   /// All runnable processes' pending steps, in ascending process order (the
-  /// exploration order of the sequential explorer).
-  std::vector<Step> steps(const Engine& e) const;
+  /// explorers' enumeration order in every mode, kNone included), written
+  /// into `out` (cleared first; its capacity is reused across nodes).
+  static void steps_into(const Engine& e, std::vector<Step>& out);
 
   /// Whether two steps by different processes commute.
   bool independent(const Step& a, const Step& b) const;

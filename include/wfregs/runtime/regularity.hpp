@@ -50,7 +50,7 @@ struct RegularVerifyResult {
 /// impl's interface must follow the register invocation convention with
 /// its initial state being the initial value.  Exploration runs on
 /// options.threads workers (0 = hardware concurrency, 1 = the sequential
-/// legacy path).
+/// explorer).
 RegularVerifyResult verify_regular(std::shared_ptr<const Implementation> impl,
                                    std::vector<std::vector<InvId>> scripts,
                                    int values,

@@ -35,7 +35,7 @@ struct VerifyResult {
 /// immediately).  Every schedule's history is checked for linearizability
 /// against impl->iface() from impl->iface_initial().  Exploration runs on
 /// options.threads workers (0 = hardware concurrency, 1 = the sequential
-/// legacy path); see the PARALLEL EXPLORATION contract in explorer.hpp.
+/// explorer); see the PARALLEL EXPLORATION contract in explorer.hpp.
 VerifyResult verify_linearizable(std::shared_ptr<const Implementation> impl,
                                  std::vector<std::vector<InvId>> scripts,
                                  const VerifyOptions& options = {});

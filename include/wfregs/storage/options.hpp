@@ -1,6 +1,6 @@
 // Out-of-core exploration options: the one knob block threaded from the CLI
 // through VerifyOptions and ExploreOptions down to the storage-backed
-// explorer (src/runtime/explorer_ooc.cpp).
+// sequential explorer (src/runtime/explorer.cpp).
 //
 // Storage options are EXECUTION parameters, not job identity: like
 // VerifyOptions::threads, they are never serialized into a job's canonical

@@ -352,10 +352,11 @@ ReductionContext::ReductionContext(const System& sys, Reduction mode,
   }
 }
 
-std::vector<ReductionContext::Step> ReductionContext::steps(
-    const Engine& e) const {
-  std::vector<Step> out;
-  for (const ProcId p : e.runnable()) {
+void ReductionContext::steps_into(const Engine& e, std::vector<Step>& out) {
+  out.clear();
+  const int n = e.system().num_processes();
+  for (ProcId p = 0; p < n; ++p) {
+    if (e.done(p)) continue;
     Step s;
     s.p = p;
     s.object = e.pending_object(p);
@@ -364,7 +365,6 @@ std::vector<ReductionContext::Step> ReductionContext::steps(
     s.width = e.pending_choices(p);
     out.push_back(s);
   }
-  return out;
 }
 
 bool ReductionContext::independent(const Step& a, const Step& b) const {

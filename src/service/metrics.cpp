@@ -7,6 +7,45 @@ namespace wfregs::service {
 
 namespace {
 
+struct MetricsField {
+  const char* name;
+  std::uint64_t Metrics::*member;
+};
+
+/// The one field list behind serialization, parsing and aggregation, in
+/// JSON output order.  A field added to Metrics is added here once.
+constexpr MetricsField kMetricsFields[] = {
+    {"submitted", &Metrics::submitted},
+    {"cache_hits", &Metrics::cache_hits},
+    {"cache_misses", &Metrics::cache_misses},
+    {"coalesced", &Metrics::coalesced},
+    {"rejected", &Metrics::rejected},
+    {"completed", &Metrics::completed},
+    {"static_decisions", &Metrics::static_decisions},
+    {"cancelled", &Metrics::cancelled},
+    {"failed", &Metrics::failed},
+    {"evictions", &Metrics::evictions},
+    {"resumed_jobs", &Metrics::resumed_jobs},
+    {"partial_checkpoints", &Metrics::partial_checkpoints},
+    {"queue_depth", &Metrics::queue_depth},
+    {"in_flight", &Metrics::in_flight},
+    {"store_records", &Metrics::store_records},
+    {"store_bytes", &Metrics::store_bytes},
+    {"lookup_ns_total", &Metrics::lookup_ns_total},
+    {"lookup_count", &Metrics::lookup_count},
+    {"queue_ns_total", &Metrics::queue_ns_total},
+    {"queue_count", &Metrics::queue_count},
+    {"run_ns_total", &Metrics::run_ns_total},
+    {"run_count", &Metrics::run_count},
+    {"append_ns_total", &Metrics::append_ns_total},
+    {"append_count", &Metrics::append_count},
+    {"snapshot_retries", &Metrics::snapshot_retries},
+};
+
+static_assert(sizeof(Metrics) == std::size(kMetricsFields) *
+                                     sizeof(std::uint64_t),
+              "every Metrics field must appear in kMetricsFields");
+
 /// Extracts the unsigned integer following `"name":` in a flat JSON
 /// object; 0 when absent.  Enough for metrics_to_json output -- the only
 /// JSON this module ever reads back.
@@ -27,90 +66,25 @@ std::uint64_t json_field(const std::string& json, const char* name) {
 
 std::string metrics_to_json(const Metrics& m) {
   std::ostringstream out;
-  out << "{\"submitted\":" << m.submitted
-      << ",\"cache_hits\":" << m.cache_hits
-      << ",\"cache_misses\":" << m.cache_misses
-      << ",\"coalesced\":" << m.coalesced
-      << ",\"rejected\":" << m.rejected
-      << ",\"completed\":" << m.completed
-      << ",\"static_decisions\":" << m.static_decisions
-      << ",\"cancelled\":" << m.cancelled
-      << ",\"failed\":" << m.failed
-      << ",\"evictions\":" << m.evictions
-      << ",\"resumed_jobs\":" << m.resumed_jobs
-      << ",\"partial_checkpoints\":" << m.partial_checkpoints
-      << ",\"queue_depth\":" << m.queue_depth
-      << ",\"in_flight\":" << m.in_flight
-      << ",\"store_records\":" << m.store_records
-      << ",\"store_bytes\":" << m.store_bytes
-      << ",\"lookup_ns_total\":" << m.lookup_ns_total
-      << ",\"lookup_count\":" << m.lookup_count
-      << ",\"queue_ns_total\":" << m.queue_ns_total
-      << ",\"queue_count\":" << m.queue_count
-      << ",\"run_ns_total\":" << m.run_ns_total
-      << ",\"run_count\":" << m.run_count
-      << ",\"append_ns_total\":" << m.append_ns_total
-      << ",\"append_count\":" << m.append_count
-      << ",\"snapshot_retries\":" << m.snapshot_retries << "}";
+  char sep = '{';
+  for (const MetricsField& f : kMetricsFields) {
+    out << sep << '"' << f.name << "\":" << m.*f.member;
+    sep = ',';
+  }
+  out << '}';
   return out.str();
 }
 
 Metrics parse_metrics_json(const std::string& json) {
   Metrics m;
-  m.submitted = json_field(json, "submitted");
-  m.cache_hits = json_field(json, "cache_hits");
-  m.cache_misses = json_field(json, "cache_misses");
-  m.coalesced = json_field(json, "coalesced");
-  m.rejected = json_field(json, "rejected");
-  m.completed = json_field(json, "completed");
-  m.static_decisions = json_field(json, "static_decisions");
-  m.cancelled = json_field(json, "cancelled");
-  m.failed = json_field(json, "failed");
-  m.evictions = json_field(json, "evictions");
-  m.resumed_jobs = json_field(json, "resumed_jobs");
-  m.partial_checkpoints = json_field(json, "partial_checkpoints");
-  m.queue_depth = json_field(json, "queue_depth");
-  m.in_flight = json_field(json, "in_flight");
-  m.store_records = json_field(json, "store_records");
-  m.store_bytes = json_field(json, "store_bytes");
-  m.lookup_ns_total = json_field(json, "lookup_ns_total");
-  m.lookup_count = json_field(json, "lookup_count");
-  m.queue_ns_total = json_field(json, "queue_ns_total");
-  m.queue_count = json_field(json, "queue_count");
-  m.run_ns_total = json_field(json, "run_ns_total");
-  m.run_count = json_field(json, "run_count");
-  m.append_ns_total = json_field(json, "append_ns_total");
-  m.append_count = json_field(json, "append_count");
-  m.snapshot_retries = json_field(json, "snapshot_retries");
+  for (const MetricsField& f : kMetricsFields) {
+    m.*f.member = json_field(json, f.name);
+  }
   return m;
 }
 
 void accumulate_metrics(Metrics* into, const Metrics& m) {
-  into->submitted += m.submitted;
-  into->cache_hits += m.cache_hits;
-  into->cache_misses += m.cache_misses;
-  into->coalesced += m.coalesced;
-  into->rejected += m.rejected;
-  into->completed += m.completed;
-  into->static_decisions += m.static_decisions;
-  into->cancelled += m.cancelled;
-  into->failed += m.failed;
-  into->evictions += m.evictions;
-  into->resumed_jobs += m.resumed_jobs;
-  into->partial_checkpoints += m.partial_checkpoints;
-  into->queue_depth += m.queue_depth;
-  into->in_flight += m.in_flight;
-  into->store_records += m.store_records;
-  into->store_bytes += m.store_bytes;
-  into->lookup_ns_total += m.lookup_ns_total;
-  into->lookup_count += m.lookup_count;
-  into->queue_ns_total += m.queue_ns_total;
-  into->queue_count += m.queue_count;
-  into->run_ns_total += m.run_ns_total;
-  into->run_count += m.run_count;
-  into->append_ns_total += m.append_ns_total;
-  into->append_count += m.append_count;
-  into->snapshot_retries += m.snapshot_retries;
+  for (const MetricsField& f : kMetricsFields) into->*f.member += m.*f.member;
 }
 
 }  // namespace wfregs::service

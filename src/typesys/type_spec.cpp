@@ -180,22 +180,34 @@ bool TypeSpec::reachable(StateId from, StateId to) const {
   return std::ranges::binary_search(reach, to);
 }
 
+namespace {
+
+/// "q3"-style default names.  Built by append: g++ 12's -O3 flags
+/// `"q" + std::to_string(q)` with a false -Wrestrict inside char_traits.
+std::string indexed_name(char prefix, int index) {
+  std::string name(1, prefix);
+  name += std::to_string(index);
+  return name;
+}
+
+}  // namespace
+
 std::string TypeSpec::state_name(StateId q) const {
   check_state(q);
   const auto& n = state_names_[static_cast<std::size_t>(q)];
-  return n.empty() ? "q" + std::to_string(q) : n;
+  return n.empty() ? indexed_name('q', q) : n;
 }
 
 std::string TypeSpec::invocation_name(InvId i) const {
   check_invocation(i);
   const auto& n = invocation_names_[static_cast<std::size_t>(i)];
-  return n.empty() ? "i" + std::to_string(i) : n;
+  return n.empty() ? indexed_name('i', i) : n;
 }
 
 std::string TypeSpec::response_name(RespId r) const {
   check_response(r);
   const auto& n = response_names_[static_cast<std::size_t>(r)];
-  return n.empty() ? "r" + std::to_string(r) : n;
+  return n.empty() ? indexed_name('r', r) : n;
 }
 
 std::string TypeSpec::to_string() const {

@@ -10,9 +10,8 @@
 //     cut (a writer-maintained cross-counter invariant survives concurrent
 //     collects; a torn read would break it), and the quiescent collect is
 //     exact;
-//   * the lock-free explorer vs the retained locked engine vs the
-//     sequential explorer, bit-identical across the zoo x every reduction
-//     mode x 1/2/8 threads.
+//   * the parallel explorer's machinery vs the sequential explorer,
+//     bit-identical across the zoo x every reduction mode x 1/2/8 threads.
 //
 // Iteration counts default low so tier-1 stays fast; the CI
 // concurrent-stress job raises them under ThreadSanitizer through
@@ -44,6 +43,7 @@ using concurrent::ConcurrentInterner;
 using concurrent::ContentionCounters;
 using concurrent::StatsSnapshot;
 using concurrent::WsDeque;
+using testsup::folding_scenario;
 using testsup::share;
 
 /// Iteration multiplier: WFREGS_STRESS_ITERS when set (the CI stress job),
@@ -306,13 +306,14 @@ TEST(ConcurrentCoreSnapshot, SetOverwritesAndUnpublishedStagingIsInvisible) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: lock-free engine vs locked engine vs sequential explorer.
+// Differential: the parallel engine (at any thread count, one included) vs
+// the sequential explorer.
 
 void ExpectIdentical(const ExploreOutcome& seq, const ExploreOutcome& par,
                      const std::string& what) {
   EXPECT_EQ(seq.wait_free, par.wait_free) << what;
   EXPECT_EQ(seq.complete, par.complete) << what;
-  EXPECT_EQ(seq.violation.has_value(), par.violation.has_value()) << what;
+  EXPECT_EQ(seq.violation, par.violation) << what;
   EXPECT_EQ(seq.stats.configs, par.stats.configs) << what;
   EXPECT_EQ(seq.stats.edges, par.stats.edges) << what;
   EXPECT_EQ(seq.stats.terminals, par.stats.terminals) << what;
@@ -320,30 +321,7 @@ void ExpectIdentical(const ExploreOutcome& seq, const ExploreOutcome& par,
   EXPECT_EQ(seq.stats.max_accesses, par.stats.max_accesses) << what;
   EXPECT_EQ(seq.stats.max_accesses_by_inv, par.stats.max_accesses_by_inv)
       << what;
-  // The intern-pool occupancy cross-check holds for both engines.
   EXPECT_EQ(par.stats.interned_configs, par.stats.configs) << what;
-}
-
-/// The parallel_explorer.cpp scenario: two invocations per process over one
-/// shared instance, every response folded into the result.
-Engine scenario_for(std::shared_ptr<const TypeSpec> t) {
-  const int n = t->ports();
-  const int invs = t->num_invocations();
-  auto sys = std::make_shared<System>(n);
-  std::vector<PortId> ports(static_cast<std::size_t>(n));
-  std::iota(ports.begin(), ports.end(), 0);
-  const ObjectId obj = sys->add_base(std::move(t), 0, ports);
-  for (ProcId p = 0; p < n; ++p) {
-    ProgramBuilder b;
-    b.assign(1, lit(0));
-    for (int k = 0; k < 2; ++k) {
-      b.invoke(0, lit((p + k) % invs), 0);
-      b.assign(1, reg(1) * lit(1 << 20) + reg(0) + lit(1));
-    }
-    b.ret(reg(1));
-    sys->set_toplevel(p, b.build("p" + std::to_string(p)), {obj});
-  }
-  return Engine{std::move(sys)};
 }
 
 TEST(ConcurrentCoreDifferential, EnginesMatchSequentialAcrossReductions) {
@@ -365,7 +343,7 @@ TEST(ConcurrentCoreDifferential, EnginesMatchSequentialAcrossReductions) {
   const int rounds = std::min(stress_rounds(1), 4);
 
   for (const auto& [name, spec] : workloads) {
-    const Engine root = scenario_for(share(TypeSpec{spec}));
+    const Engine root = folding_scenario(share(TypeSpec{spec}));
     for (const Reduction mode : kModes) {
       ExploreOptions options;
       options.limits.track_access_bounds = true;
@@ -379,11 +357,9 @@ TEST(ConcurrentCoreDifferential, EnginesMatchSequentialAcrossReductions) {
               name + " mode " + std::to_string(static_cast<int>(mode)) +
               " @ " + std::to_string(threads) + " threads";
           ExpectIdentical(
-              seq, explore_parallel_lockfree(root, {}, options, threads),
-              "lockfree " + what);
-          ExpectIdentical(
-              seq, explore_parallel_locked(root, {}, options, threads),
-              "locked " + what);
+              seq,
+              detail::explore_parallel_lockfree(root, {}, options, threads),
+              what);
         }
       }
     }
@@ -393,10 +369,10 @@ TEST(ConcurrentCoreDifferential, EnginesMatchSequentialAcrossReductions) {
 TEST(ConcurrentCoreDifferential, LockFreeEngineReportsContention) {
   // A broad frontier at 8 workers: the idle workers' steal loops must
   // actually run (steal_attempts is the floor the E17 suite gates on).
-  const Engine root = scenario_for(share(zoo::register_type(3, 3)));
+  const Engine root = folding_scenario(share(zoo::register_type(3, 3)));
   ExploreOptions options;
   options.limits.stop_at_violation = false;
-  const auto out = explore_parallel_lockfree(root, {}, options, 8);
+  const auto out = detail::explore_parallel_lockfree(root, {}, options, 8);
   ASSERT_TRUE(out.complete);
   EXPECT_GT(out.contention.steal_attempts, 0u);
   // Sequential exploration reports zero contention by construction.

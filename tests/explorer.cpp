@@ -11,6 +11,7 @@
 namespace wfregs {
 namespace {
 
+using testsup::indexed_name;
 using testsup::one_shot;
 using testsup::share;
 using testsup::two_shot;
@@ -185,7 +186,7 @@ TEST(Explorer, ConfigLimitReportsIncomplete) {
   const ObjectId r = sys->add_base(reg8, 0, {0, 1, 2});
   for (ProcId p = 0; p < 3; ++p) {
     sys->set_toplevel(
-        p, two_shot("p" + std::to_string(p), 0, lay.write(p), lay.read()),
+        p, two_shot(indexed_name("p", p), 0, lay.write(p), lay.read()),
         {r});
   }
   const Engine root{std::move(sys)};

@@ -23,6 +23,7 @@
 namespace wfregs {
 namespace {
 
+using testsup::folding_scenario;
 using testsup::make_impl;
 using testsup::one_shot;
 using testsup::share;
@@ -41,30 +42,6 @@ void ExpectIdentical(const ExploreOutcome& seq, const ExploreOutcome& par,
   EXPECT_EQ(seq.stats.max_accesses, par.stats.max_accesses) << what;
   EXPECT_EQ(seq.stats.max_accesses_by_inv, par.stats.max_accesses_by_inv)
       << what;
-}
-
-/// Generic scenario over one shared instance of `t`: process p (on port p)
-/// performs two invocations, folding every response into its result so
-/// distinct response histories occupy distinct configurations (the
-/// memoization contract).
-Engine scenario_for(std::shared_ptr<const TypeSpec> t) {
-  const int n = t->ports();
-  const int invs = t->num_invocations();
-  auto sys = std::make_shared<System>(n);
-  std::vector<PortId> ports(static_cast<std::size_t>(n));
-  std::iota(ports.begin(), ports.end(), 0);
-  const ObjectId obj = sys->add_base(std::move(t), 0, ports);
-  for (ProcId p = 0; p < n; ++p) {
-    ProgramBuilder b;
-    b.assign(1, lit(0));
-    for (int k = 0; k < 2; ++k) {
-      b.invoke(0, lit((p + k) % invs), 0);
-      b.assign(1, reg(1) * lit(1 << 20) + reg(0) + lit(1));
-    }
-    b.ret(reg(1));
-    sys->set_toplevel(p, b.build("p" + std::to_string(p)), {obj});
-  }
-  return Engine{std::move(sys)};
 }
 
 std::vector<std::pair<std::string, TypeSpec>> zoo_instances() {
@@ -102,7 +79,7 @@ TEST(ParallelExplorer, DifferentialOnZooTypes) {
   limits.track_access_bounds = true;
   limits.stop_at_violation = false;
   for (auto& [name, t] : zoo_instances()) {
-    const Engine root = scenario_for(share(std::move(t)));
+    const Engine root = folding_scenario(share(std::move(t)));
     const auto seq = explore(root, limits);
     EXPECT_TRUE(seq.complete) << name;
     for (const int threads : kThreadCounts) {
@@ -206,7 +183,7 @@ TEST(ParallelExplorer, StopAtViolationAbortsEarly) {
 }
 
 TEST(ParallelExplorer, ConfigLimitReportsIncomplete) {
-  const Engine root = scenario_for(share(zoo::register_type(3, 3)));
+  const Engine root = folding_scenario(share(zoo::register_type(3, 3)));
   ExploreLimits limits;
   limits.max_configs = 5;
   for (const int threads : {2, 8}) {

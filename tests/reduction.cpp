@@ -28,6 +28,7 @@
 namespace wfregs {
 namespace {
 
+using testsup::folding_scenario;
 using testsup::share;
 
 constexpr Reduction kReductions[] = {Reduction::kSleep,
@@ -76,30 +77,6 @@ void ExpectIdentical(const ExploreOutcome& a, const ExploreOutcome& b,
   EXPECT_EQ(a.stats.depth, b.stats.depth) << what;
   EXPECT_EQ(a.stats.max_accesses, b.stats.max_accesses) << what;
   EXPECT_EQ(a.stats.max_accesses_by_inv, b.stats.max_accesses_by_inv) << what;
-}
-
-/// Asymmetric scenario over one shared instance of `t`: process p performs
-/// two invocations starting at invocation p, folding responses into its
-/// result (the memoization contract).  Identical to the parallel-explorer
-/// test scenario so counters stay comparable across suites.
-Engine scenario_for(std::shared_ptr<const TypeSpec> t) {
-  const int n = t->ports();
-  const int invs = t->num_invocations();
-  auto sys = std::make_shared<System>(n);
-  std::vector<PortId> ports(static_cast<std::size_t>(n));
-  std::iota(ports.begin(), ports.end(), 0);
-  const ObjectId obj = sys->add_base(std::move(t), 0, ports);
-  for (ProcId p = 0; p < n; ++p) {
-    ProgramBuilder b;
-    b.assign(1, lit(0));
-    for (int k = 0; k < 2; ++k) {
-      b.invoke(0, lit((p + k) % invs), 0);
-      b.assign(1, reg(1) * lit(1 << 20) + reg(0) + lit(1));
-    }
-    b.ret(reg(1));
-    sys->set_toplevel(p, b.build("p" + std::to_string(p)), {obj});
-  }
-  return Engine{std::move(sys)};
 }
 
 /// Fully symmetric scenario: every process runs the SAME shared program (two
@@ -166,7 +143,7 @@ ExploreLimits full_limits() {
 TEST(Reduction, DifferentialOnZooTypes) {
   const ExploreLimits limits = full_limits();
   for (auto& [name, t] : zoo_instances()) {
-    const Engine root = scenario_for(share(std::move(t)));
+    const Engine root = folding_scenario(share(std::move(t)));
     const auto none = explore(root, limits);
     ASSERT_TRUE(none.complete) << name;
     for (const Reduction r : kReductions) {
@@ -262,7 +239,7 @@ TEST(Reduction, DifferentialOnRandomTypes) {
     params.oblivious = (seed % 3) == 0;
     params.branching = 1 + static_cast<int>(seed % 2);
     const TypeSpec t = random_type(params, seed);
-    const Engine root = scenario_for(share(t));
+    const Engine root = folding_scenario(share(t));
     const auto none = explore(root, limits);
     ASSERT_TRUE(none.complete) << "seed " << seed;
     for (const Reduction r : kReductions) {
@@ -280,9 +257,9 @@ TEST(Reduction, ParallelMatchesSequentialReducedBitForBit) {
   // exactly, at any thread count.
   const ExploreLimits limits = full_limits();
   std::vector<std::pair<std::string, Engine>> roots;
-  roots.emplace_back("cas(2,2)", scenario_for(share(zoo::cas_type(2, 2))));
+  roots.emplace_back("cas(2,2)", folding_scenario(share(zoo::cas_type(2, 2))));
   roots.emplace_back("queue(2,2,2)",
-                     scenario_for(share(zoo::queue_type(2, 2, 2))));
+                     folding_scenario(share(zoo::queue_type(2, 2, 2))));
   roots.emplace_back(
       "symmetric fetch_and_add(4,3)",
       symmetric_scenario_for(share(zoo::fetch_and_add_type(4, 3)), 0));
@@ -341,7 +318,7 @@ TEST(Reduction, SymmetricConsensusScenarioShrinks) {
 }
 
 TEST(Reduction, EarlyAbortCountersAreLowerBounds) {
-  const Engine root = scenario_for(share(zoo::register_type(3, 3)));
+  const Engine root = folding_scenario(share(zoo::register_type(3, 3)));
   for (const Reduction r : kReductions) {
     const auto full = explore(root, ExploreOptions{full_limits(), r});
     ASSERT_TRUE(full.complete);
@@ -364,7 +341,7 @@ TEST(Reduction, EarlyAbortCountersAreLowerBounds) {
 }
 
 TEST(Reduction, StopAtViolationStillReportsViolation) {
-  const Engine root = scenario_for(share(zoo::nondet_coin_type(2)));
+  const Engine root = folding_scenario(share(zoo::nondet_coin_type(2)));
   // Every terminal violates, so any early stop must still surface one.
   const TerminalCheck check =
       [](const Engine&) -> std::optional<std::string> { return "always"; };
@@ -389,7 +366,7 @@ TEST(Reduction, InjectedRefinedTableStaysSound) {
                               "cas(2,2)", zoo::cas_type(2, 2)},
                           {"queue(2,2,2)", zoo::queue_type(2, 2, 2)},
                           {"mod_counter(3,2)", zoo::mod_counter_type(3, 2)}}) {
-    const Engine root = scenario_for(share(std::move(t)));
+    const Engine root = folding_scenario(share(std::move(t)));
     const auto none = explore(root, limits);
     const IndependenceTable refined =
         analysis::refined_independence(root.system());
@@ -406,7 +383,7 @@ TEST(Reduction, InjectedRefinedTableStaysSound) {
 
 TEST(Reduction, RefinedTableNeverCoarserThanBaseline) {
   for (auto& [name, t] : zoo_instances()) {
-    const Engine root = scenario_for(share(std::move(t)));
+    const Engine root = folding_scenario(share(std::move(t)));
     const System& sys = root.system();
     const IndependenceTable baseline = IndependenceTable::build(sys);
     const IndependenceTable refined = analysis::refined_independence(sys);
@@ -444,8 +421,8 @@ TEST(Reduction, SharedPortSystemsFallBackToSymmetryOnly) {
 }
 
 TEST(Reduction, InjectedTableShapeMismatchThrows) {
-  const Engine a = scenario_for(share(zoo::cas_type(2, 2)));
-  const Engine b = scenario_for(share(zoo::queue_type(2, 2, 2)));
+  const Engine a = folding_scenario(share(zoo::cas_type(2, 2)));
+  const Engine b = folding_scenario(share(zoo::queue_type(2, 2, 2)));
   const IndependenceTable wrong = IndependenceTable::build(a.system());
   ExploreOptions options{{}, Reduction::kSleep};
   options.independence = &wrong;

@@ -12,6 +12,7 @@
 namespace wfregs {
 namespace {
 
+using testsup::indexed_name;
 using testsup::share;
 using testsup::two_shot;
 
@@ -22,7 +23,7 @@ std::shared_ptr<System> two_writer_system(
   const ObjectId r = sys->add_base(reg4, 0, {0, 1});
   for (ProcId p = 0; p < 2; ++p) {
     sys->set_toplevel(
-        p, two_shot("p" + std::to_string(p), 0, lay.write(p + 1), lay.read()),
+        p, two_shot(indexed_name("p", p), 0, lay.write(p + 1), lay.read()),
         {r});
   }
   return sys;

@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -451,6 +454,30 @@ TEST(JobScheduler, StaticPowerFlagRoundTripsThroughTheJobText) {
   const std::string bare = print_job(job);
   EXPECT_EQ(bare.find("static-power"), std::string::npos);
   EXPECT_FALSE(parse_job(bare).static_power);
+}
+
+
+/// Metrics viewed as its raw field sequence: every field is a uint64, so
+/// this enumerates them all without naming any (a field the JSON table
+/// forgets fails the round trip below).
+using MetricsWords = std::array<std::uint64_t, sizeof(Metrics) / 8>;
+static_assert(sizeof(Metrics) % 8 == 0);
+
+TEST(Metrics, JsonRoundTripAndAccumulateCoverEveryField) {
+  MetricsWords words;
+  for (std::size_t k = 0; k < words.size(); ++k) words[k] = 1000 + 7 * k;
+  const Metrics m = std::bit_cast<Metrics>(words);
+  const std::string json = metrics_to_json(m);
+  const MetricsWords parsed =
+      std::bit_cast<MetricsWords>(parse_metrics_json(json));
+  Metrics twice = m;
+  accumulate_metrics(&twice, m);
+  const MetricsWords doubled = std::bit_cast<MetricsWords>(twice);
+  for (std::size_t k = 0; k < words.size(); ++k) {
+    EXPECT_EQ(parsed[k], words[k]) << "field " << k << " in " << json;
+    EXPECT_EQ(doubled[k], 2 * words[k]) << "field " << k;
+  }
+  EXPECT_EQ(metrics_to_json(parse_metrics_json(json)), json);
 }
 
 }  // namespace

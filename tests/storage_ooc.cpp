@@ -38,6 +38,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
+using testsup::folding_scenario;
+using testsup::indexed_name;
 using testsup::share;
 
 constexpr Reduction kModes[] = {Reduction::kNone, Reduction::kSleep,
@@ -89,28 +91,6 @@ void ExpectIdentical(const ExploreOutcome& ref, const ExploreOutcome& ooc,
       << what;
 }
 
-/// The parallel_explorer scenario: every process performs two invocations
-/// on one shared instance of `t`, folding responses into its result.
-Engine scenario_for(std::shared_ptr<const TypeSpec> t) {
-  const int n = t->ports();
-  const int invs = t->num_invocations();
-  auto sys = std::make_shared<System>(n);
-  std::vector<PortId> ports(static_cast<std::size_t>(n));
-  std::iota(ports.begin(), ports.end(), 0);
-  const ObjectId obj = sys->add_base(std::move(t), 0, ports);
-  for (ProcId p = 0; p < n; ++p) {
-    ProgramBuilder b;
-    b.assign(1, lit(0));
-    for (int k = 0; k < 2; ++k) {
-      b.invoke(0, lit((p + k) % invs), 0);
-      b.assign(1, reg(1) * lit(1 << 20) + reg(0) + lit(1));
-    }
-    b.ret(reg(1));
-    sys->set_toplevel(p, b.build("p" + std::to_string(p)), {obj});
-  }
-  return Engine{std::move(sys)};
-}
-
 /// Storage options exercising everything at deliberately hostile sizes: a
 /// one-page segment and a two-page budget force constant eviction, a short
 /// keyframe interval forces delta decoding.
@@ -146,14 +126,14 @@ TEST(OocExplorer, DifferentialOnZooTypes) {
   limits.stop_at_violation = false;
   int scenario = 0;
   for (auto& [name, t] : instances) {
-    const Engine root = scenario_for(share(std::move(t)));
+    const Engine root = folding_scenario(share(std::move(t)));
     for (const Reduction mode : kModes) {
       ExploreOptions ref_options{limits, mode};
       const auto ref = explore(root, ref_options);
       EXPECT_TRUE(ref.complete) << name;
       ExploreOptions ooc_options{limits, mode};
       ooc_options.storage =
-          tiny_storage(tmp.sub("s" + std::to_string(scenario++)));
+          tiny_storage(tmp.sub(indexed_name("s", scenario++)));
       const auto ooc = explore(root, ooc_options);
       ExpectIdentical(ref, ooc,
                       name + " [" + mode_name(mode) + "]");
@@ -191,7 +171,7 @@ TEST(OocExplorer, DifferentialOnConsensusProtocolsWithViolations) {
       const auto ref = explore(root, ExploreOptions{limits, mode}, check);
       ExploreOptions ooc_options{limits, mode};
       ooc_options.storage =
-          tiny_storage(tmp.sub("s" + std::to_string(scenario++)));
+          tiny_storage(tmp.sub(indexed_name("s", scenario++)));
       ExpectIdentical(ref, explore(root, ooc_options, check),
                       std::string("registers_only inputs ") +
                           std::to_string(vec) + " [" + mode_name(mode) + "]");
@@ -243,7 +223,7 @@ Engine big_scenario() {
       b.assign(1, reg(1) * lit(1 << 20) + reg(0) + lit(1));
     }
     b.ret(reg(1));
-    sys->set_toplevel(p, b.build("p" + std::to_string(p)), objs);
+    sys->set_toplevel(p, b.build(indexed_name("p", p)), objs);
   }
   return Engine{std::move(sys)};
 }
@@ -265,7 +245,7 @@ TEST(OocExplorer, InterruptThenResumeIsBitIdentical) {
   for (const std::size_t cut :
        {std::size_t{1}, std::size_t{500}, ref.stats.configs - 1}) {
     const std::string dir =
-        tmp.sub("ckpt-" + std::to_string(cut));
+        tmp.sub(indexed_name("ckpt-", cut));
     ExploreOptions interrupted{full};
     interrupted.limits.max_configs = cut;
     interrupted.storage = tiny_storage(tmp.sub("spill"));
@@ -430,9 +410,9 @@ TEST(OocExplorer, SigkillAtRandomizedOffsetsResumesBitIdentical) {
   std::mt19937 rng(20260808);
   int killed = 0;
   for (int trial = 0; trial < 6; ++trial) {
-    const std::string dir = tmp.sub("ckpt-" + std::to_string(trial));
+    const std::string dir = tmp.sub(indexed_name("ckpt-", trial));
     ExploreOptions options{full};
-    options.storage = tiny_storage(tmp.sub("spill-" + std::to_string(trial)));
+    options.storage = tiny_storage(tmp.sub(indexed_name("spill-", trial)));
     options.storage.checkpoint_dir = dir;
     options.storage.checkpoint_every_configs = 64;
     const useconds_t delay = 1000 + rng() % 120000;

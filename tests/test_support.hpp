@@ -2,9 +2,12 @@
 #pragma once
 
 #include <memory>
+#include <numeric>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "wfregs/runtime/engine.hpp"
 #include "wfregs/runtime/implementation.hpp"
 #include "wfregs/runtime/program.hpp"
 #include "wfregs/typesys/type_spec.hpp"
@@ -20,6 +23,37 @@ inline std::shared_ptr<Implementation> make_impl(
     StateId initial) {
   return std::make_shared<Implementation>(std::move(name), std::move(iface),
                                           initial);
+}
+
+/// "p3"-style names, built by append: g++ 12 at -O3 reports a false
+/// -Wrestrict inside char_traits for `"p" + std::to_string(p)`.
+inline std::string indexed_name(const char* prefix, int index) {
+  std::string name(prefix);
+  name += std::to_string(index);
+  return name;
+}
+
+/// The explorer suites' common scenario over one shared instance of `t`:
+/// process p performs two invocations starting at invocation p, folding
+/// every response into its result (the memoization contract).
+inline Engine folding_scenario(std::shared_ptr<const TypeSpec> t) {
+  const int n = t->ports();
+  const int invs = t->num_invocations();
+  auto sys = std::make_shared<System>(n);
+  std::vector<PortId> ports(static_cast<std::size_t>(n));
+  std::iota(ports.begin(), ports.end(), 0);
+  const ObjectId obj = sys->add_base(std::move(t), 0, ports);
+  for (ProcId p = 0; p < n; ++p) {
+    ProgramBuilder b;
+    b.assign(1, lit(0));
+    for (int k = 0; k < 2; ++k) {
+      b.invoke(0, lit((p + k) % invs), 0);
+      b.assign(1, reg(1) * lit(1 << 20) + reg(0) + lit(1));
+    }
+    b.ret(reg(1));
+    sys->set_toplevel(p, b.build(indexed_name("p", p)), {obj});
+  }
+  return Engine{std::move(sys)};
 }
 
 /// A program that performs a single invocation on env slot `slot` and

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "test_support.hpp"
 #include "wfregs/consensus/multivalued.hpp"
 #include "wfregs/runtime/explorer.hpp"
 #include "wfregs/runtime/verify.hpp"
@@ -41,7 +42,7 @@ void check_multivalued(const std::shared_ptr<const Implementation>& impl,
       ProgramBuilder b;
       b.invoke(0, lit(lay.propose(inputs[static_cast<std::size_t>(p)])), 0);
       b.ret(reg(0));
-      sys->set_toplevel(p, b.build("p" + std::to_string(p)), {obj});
+      sys->set_toplevel(p, b.build(testsup::indexed_name("p", p)), {obj});
     }
     const auto check = [&inputs, n](const Engine& e)
         -> std::optional<std::string> {
