@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <unordered_set>
+#include <vector>
 
 #include "wfregs/core/oneuse_from_type.hpp"
 #include "wfregs/runtime/verify.hpp"
@@ -40,6 +42,16 @@ struct BoundedBitScenario {
   std::vector<int> writes;
   int reads;
 };
+
+// Names each instance by its fields. Without this gtest prints the raw
+// bytes, heap pointers and padding included, so the test names (and the
+// ctest names derived from them) changed from run to run.
+void PrintTo(const BoundedBitScenario& sc, std::ostream* os) {
+  *os << "initial " << sc.initial << ", writes ";
+  if (sc.writes.empty()) *os << "none";
+  for (const int w : sc.writes) *os << w;
+  *os << ", reads " << sc.reads;
+}
 
 class BoundedBitSweep
     : public ::testing::TestWithParam<BoundedBitScenario> {};
