@@ -2,7 +2,7 @@
 // memory-budget sweep, and checkpoint/resume against full recomputation.
 //
 // The workload is the CAS-with-ids 5-process consensus check (32 roots,
-// ~101k configurations, ~800 KiB of delta-coded interned keys), chosen so
+// ~101k configurations, ~208 KiB of delta-coded interned keys), chosen so
 // the smallest budget in the sweep holds less than a tenth of the interned
 // state.  Unlike the other suites this one carries its acceptance gates
 // IN-BINARY (state.SkipWithError), because they are statements about one
@@ -279,16 +279,16 @@ BENCHMARK(BM_InCoreReference)
 // Smallest budget first: its gate set includes the overflow ratio, and the
 // sweep is ordered so each variant's sampled peaks are its own.
 BENCHMARK(BM_OutOfCoreSweep)
-    ->Args({64, 1})
-    ->Args({128, 0})
-    ->Args({256, 0})
+    ->Args({20, 1})
+    ->Args({40, 0})
+    ->Args({80, 0})
     ->ArgNames({"budget_kb", "gate_overflow"})
     ->Iterations(1)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK(BM_CheckpointResume)
-    ->Args({256})
+    ->Args({80})
     ->ArgNames({"budget_kb"})
     ->Iterations(1)
     ->UseRealTime()

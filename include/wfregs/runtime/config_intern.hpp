@@ -1,12 +1,15 @@
 // Configuration interning: the explorers' memo-table substrate.
 //
-// A ConfigKey is a short vector of 64-bit words.  A node-based memo table
-// (std::unordered_map<ConfigKey, ...>) pays one heap allocation for the key
-// vector plus one for the map node on every distinct configuration, and an
-// FNV-1a key hash mixes words weakly (sequential small-integer words --
-// exactly what configuration keys are made of -- land in clustered
-// buckets).  This header provides the replacement:
+// A ConfigKey is a short vector of 64-bit words: the configuration's fields
+// in a byte code that packs up to eight small fields into one word
+// (KeyPacker below; the format is described at ConfigKey in engine.hpp).
+// A node-based memo table (std::unordered_map<ConfigKey, ...>) pays one
+// heap allocation for the key vector plus one for the map node on every
+// distinct configuration, and an FNV-1a key hash mixes words weakly (words
+// that differ in a few low-order bytes land in clustered buckets).  This
+// header provides the replacement:
 //
+//   * KeyPacker -- the key byte code's writer, used by Engine::emit_key;
 //   * config_mix64 / config_hash_words -- a splitmix64-style per-word mixer
 //     with full 64-bit avalanche, shared by ConfigKeyHash and the interners
 //     so one hash computation serves probing and caching;
@@ -17,6 +20,7 @@
 //     sequential explorer's node ids are deterministic.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -43,6 +47,47 @@ constexpr std::uint64_t config_hash_words(
     std::span<const std::uint64_t> words) noexcept {
   return concurrent::hash_words(words);
 }
+
+/// Appends values to `out` in the configuration-key byte code described at
+/// ConfigKey (engine.hpp); kOneByte is its one-byte limit, 0xF7.
+class KeyPacker {
+ public:
+  static constexpr std::uint64_t kOneByte = 0xF7;
+
+  explicit KeyPacker(std::vector<std::uint64_t>& out) : out_(out) {}
+
+  void put(std::uint64_t v) {
+    if (v < kOneByte) {
+      byte(v + 1);
+      return;
+    }
+    const int n = (71 - std::countl_zero(v)) / 8;  // significant bytes
+    byte(kOneByte + static_cast<std::uint64_t>(n));
+    for (int k = n; k-- > 0;) byte((v >> (8 * k)) & 0xFF);
+  }
+
+  /// Writes the terminator and flushes the zero-padded last word.
+  void finish() {
+    byte(0);
+    if (used_ != 0) out_.push_back(acc_ << (8 * (8 - used_)));
+    acc_ = 0;
+    used_ = 0;
+  }
+
+ private:
+  void byte(std::uint64_t b) {
+    acc_ = (acc_ << 8) | b;
+    if (++used_ == 8) {
+      out_.push_back(acc_);
+      acc_ = 0;
+      used_ = 0;
+    }
+  }
+
+  std::vector<std::uint64_t>& out_;
+  std::uint64_t acc_ = 0;
+  int used_ = 0;
+};
 
 /// Arena-pooled key -> dense id map (see the header comment): the
 /// sequential explorer's in-RAM key store.  Not thread-safe (the parallel

@@ -31,6 +31,20 @@ struct ProcessRenaming;  // reduction.hpp
 
 /// Hashable, equality-comparable snapshot of an engine configuration.
 /// Excludes the history and access counters (path data, not state).
+///
+/// The words hold the configuration's fields (object states, persistent
+/// blocks, then each process's status, pending access and frames) in a
+/// prefix-free byte code (KeyPacker, config_intern.hpp): a field below 0xF7
+/// is the single byte field + 1, a larger one is the tag 0xF7 + n and its n
+/// significant bytes, most significant first, and byte 0 ends the code.
+/// Eight bytes fill a word, most significant first; the last word is
+/// zero-padded.  So:
+///   * distinct field sequences never share words, padding included (the
+///     terminator says where the code ends);
+///   * comparing keys as word vectors (unsigned, lexicographic) orders them
+///     exactly as their field sequences, which is what lets process-symmetry
+///     reduction pick the least renamed key as the orbit representative.
+/// Most fields are small, so a key takes about one word per eight fields.
 struct ConfigKey {
   std::vector<std::uint64_t> words;
   friend bool operator==(const ConfigKey&, const ConfigKey&) = default;

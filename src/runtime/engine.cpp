@@ -391,14 +391,14 @@ int Engine::stack_depth(ProcId p) const {
 }
 
 void Engine::emit_key(ConfigKey& key, const ProcessRenaming* renaming) const {
-  auto& w = key.words;
+  KeyPacker w(key.words);
+  const auto put = [&w](auto v) { w.put(static_cast<std::uint64_t>(v)); };
   const auto mapped = [renaming](ObjectId g, PortId port) -> PortId {
     return renaming ? renaming->map_port(g, port) : port;
   };
   for (ObjectId g = 0; g < sys_->num_objects(); ++g) {
     if (sys_->is_base(g)) {
-      w.push_back(
-          static_cast<std::uint64_t>(object_state_[static_cast<std::size_t>(g)]));
+      put(object_state_[static_cast<std::size_t>(g)]);
     } else {
       const auto& block = persistent_[static_cast<std::size_t>(g)];
       const auto* old_port =
@@ -406,14 +406,13 @@ void Engine::emit_key(ConfigKey& key, const ProcessRenaming* renaming) const {
               ? &renaming->old_port[static_cast<std::size_t>(g)]
               : nullptr;
       if (!old_port || block.empty()) {
-        for (const Val v : block) w.push_back(static_cast<std::uint64_t>(v));
+        for (const Val v : block) put(v);
       } else {
         // Renamed view: the block of new port j is old port old_port[j]'s.
         const std::size_t persist = block.size() / old_port->size();
         for (const PortId old : *old_port) {
           for (std::size_t k = 0; k < persist; ++k) {
-            w.push_back(static_cast<std::uint64_t>(
-                block[static_cast<std::size_t>(old) * persist + k]));
+            put(block[static_cast<std::size_t>(old) * persist + k]);
           }
         }
       }
@@ -424,40 +423,35 @@ void Engine::emit_key(ConfigKey& key, const ProcessRenaming* renaming) const {
         procs_[renaming
                    ? static_cast<std::size_t>(renaming->old_proc[pp])
                    : pp];
-    w.push_back(proc.finished ? 1u : 0u);
-    w.push_back(proc.result ? static_cast<std::uint64_t>(*proc.result) + 1
-                            : 0u);
+    put(proc.finished ? 1 : 0);
+    put(proc.result ? static_cast<std::uint64_t>(*proc.result) + 1 : 0);
+    put(proc.pending ? 1 : 0);
     if (proc.pending) {
-      w.push_back(0xFEu);
-      w.push_back(static_cast<std::uint64_t>(proc.pending->handle.gid));
-      w.push_back(static_cast<std::uint64_t>(
-          mapped(proc.pending->handle.gid, proc.pending->handle.port)));
-      w.push_back(static_cast<std::uint64_t>(proc.pending->inv));
-      w.push_back(static_cast<std::uint64_t>(proc.pending->result_reg));
-    } else {
-      w.push_back(0xFDu);
+      put(proc.pending->handle.gid);
+      put(mapped(proc.pending->handle.gid, proc.pending->handle.port));
+      put(proc.pending->inv);
+      put(proc.pending->result_reg);
     }
-    w.push_back(static_cast<std::uint64_t>(proc.stack.size()));
+    put(proc.stack.size());
     for (const Frame& f : proc.stack) {
       // Program identity: code objects are immutable and shared, so each is
       // identified by its construction-order-stable dense id (not its
       // pointer -- keys must match across processes for checkpoint resume).
-      w.push_back(program_ids_->at(f.code.get()));
-      w.push_back(static_cast<std::uint64_t>(f.locals.pc));
-      w.push_back(static_cast<std::uint64_t>(f.locals.regs.size()));
-      for (const Val v : f.locals.regs) {
-        w.push_back(static_cast<std::uint64_t>(v));
-      }
-      w.push_back(static_cast<std::uint64_t>(f.result_reg_in_parent));
+      put(program_ids_->at(f.code.get()));
+      put(f.locals.pc);
+      put(f.locals.regs.size());
+      for (const Val v : f.locals.regs) put(v);
+      put(f.result_reg_in_parent);
       // env is determined by (code, port context) but is cheap to include:
       for (const Handle& h : f.env) {
-        w.push_back((static_cast<std::uint64_t>(h.gid) << 16) ^
-                    static_cast<std::uint64_t>(mapped(h.gid, h.port) + 1));
+        put(h.gid);
+        put(mapped(h.gid, h.port) + 1);
       }
       // op_id is deliberately excluded: it indexes the history, which is
       // path data, not configuration state.
     }
   }
+  w.finish();
 }
 
 ConfigKey Engine::config_key() const {

@@ -10,7 +10,8 @@ namespace {
 
 constexpr std::uint32_t kTagSnapshot = 1;
 constexpr std::uint32_t kTagKeyBatch = 2;
-constexpr std::uint32_t kSnapshotVersion = 1;
+// 2: key batches hold byte-packed configuration keys (engine.hpp).
+constexpr std::uint32_t kSnapshotVersion = 2;
 
 const char* kFrontierName = "frontier.log";
 const char* kArenaName = "arena.log";

@@ -30,6 +30,7 @@
 #include "wfregs/consensus/protocols.hpp"
 #include "wfregs/runtime/verify.hpp"
 #include "wfregs/storage/checkpoint.hpp"
+#include "wfregs/storage/record_log.hpp"
 #include "wfregs/storage/spill_arena.hpp"
 #include "wfregs/typesys/type_zoo.hpp"
 
@@ -373,6 +374,60 @@ TEST(OocExplorer, ResumeFromSeedsANewDirectory) {
   EXPECT_FALSE(storage::FrontierCheckpoint::info(tmp.sub("original"))
                    .finished);
   EXPECT_TRUE(storage::FrontierCheckpoint::info(tmp.sub("copy")).finished);
+}
+
+TEST(OocExplorer, VersionOneSnapshotIsRefusedAndTheRunStartsFresh) {
+  // Snapshot version 1 predates byte-packed configuration keys: its key
+  // batches hold one word per field.  A directory whose snapshots carry
+  // version 1 must be refused, and the run must start fresh and reach the
+  // uninterrupted outcome.
+  TempDir tmp;
+  const Engine root = big_scenario();
+  ExploreLimits full;
+  full.stop_at_violation = false;
+  const auto ref = explore(root, full);
+
+  ExploreOptions interrupted;
+  interrupted.limits = full;
+  interrupted.limits.max_configs = 600;
+  interrupted.storage.checkpoint_dir = tmp.sub("v1");
+  interrupted.storage.checkpoint_every_configs = 128;
+  ASSERT_FALSE(explore(root, interrupted).complete);
+  fs::copy(tmp.sub("v1"), tmp.sub("current"), fs::copy_options::recursive);
+
+  // Rewrite every snapshot record with version 1 (the payload's leading
+  // little-endian u32), keeping the records otherwise intact.
+  const std::string frontier =
+      (fs::path(tmp.sub("v1")) / "frontier.log").string();
+  const auto log = storage::read_record_log(frontier);
+  ASSERT_FALSE(log.records.empty());
+  {
+    storage::RecordLogWriter writer(frontier);
+    writer.truncate_to(storage::kRecordLogHeaderBytes);
+    for (storage::LogRecord rec : log.records) {
+      ASSERT_GE(rec.payload.size(), 4u);
+      ASSERT_EQ(rec.payload[0], 2u) << "snapshot version is not 2";
+      rec.payload[0] = 1;
+      writer.append(rec.tag, rec.payload.data(), rec.payload.size());
+    }
+    writer.sync();
+  }
+  EXPECT_EQ(storage::read_record_log(frontier).records.size(),
+            log.records.size());
+  EXPECT_FALSE(storage::FrontierCheckpoint::info(tmp.sub("v1")).present);
+
+  ExploreOptions rerun = interrupted;
+  rerun.limits.max_configs = full.max_configs;
+  const auto out = explore(root, rerun);
+  EXPECT_FALSE(out.resumed);
+  EXPECT_TRUE(out.complete);
+  ExpectIdentical(ref, out, "fresh start over a version-1 snapshot");
+
+  // Control: the same snapshots at the current version resume.
+  rerun.storage.checkpoint_dir = tmp.sub("current");
+  const auto resumed = explore(root, rerun);
+  EXPECT_TRUE(resumed.resumed);
+  ExpectIdentical(ref, resumed, "resume at the current version");
 }
 
 // ---------------------------------------------------------------------------
