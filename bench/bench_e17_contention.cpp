@@ -14,7 +14,9 @@
 // engine's contention telemetry (cas_retries / steal_attempts / steals /
 // snapshot_retries), the counters check_bench_regression.py --suite
 // e17_contention floors: at threads >= 2 the work-stealing frontier must
-// actually attempt steals.
+// actually attempt steals.  They also report the engine's phase timers
+// (ExploreOutcome::phases) as mean milliseconds per run: discover_ms,
+// replay_dp_ms and teardown_ms -- reported, never gated.
 //
 // The single-thread overhead gate runs the parallel machinery at threads=1
 // and explore() inside one benchmark, interleaved, and takes the minimum
@@ -31,6 +33,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdint>
 #include <limits>
 #include <string>
 
@@ -91,6 +94,7 @@ void BM_ContentionLockFree(benchmark::State& state) {
   const ExploreOptions options = contention_options();
   ExploreOutcome last;
   ContentionStats contention;
+  ExplorePhases phases;  // summed over iterations
   double explore_s = 0;
   double parallel_s = 0;
   bool identical = true;
@@ -106,6 +110,9 @@ void BM_ContentionLockFree(benchmark::State& state) {
     parallel_s += seconds_since(t1);
     benchmark::DoNotOptimize(out.stats.configs);
     contention.add(out.contention);
+    phases.discover_ns += out.phases.discover_ns;
+    phases.replay_dp_ns += out.phases.replay_dp_ns;
+    phases.teardown_ns += out.phases.teardown_ns;
     identical = identical && matches_reference(out);
     last = std::move(out);
   }
@@ -124,6 +131,13 @@ void BM_ContentionLockFree(benchmark::State& state) {
   state.counters["speedup_over_explore"] =
       parallel_s > 0 ? explore_s / parallel_s : 0.0;
   benchjson::contention_counters(state, contention);
+  const auto mean_ms = [&state](std::uint64_t ns) {
+    return static_cast<double>(ns) / 1e6 /
+           static_cast<double>(state.iterations());
+  };
+  state.counters["discover_ms"] = mean_ms(phases.discover_ns);
+  state.counters["replay_dp_ms"] = mean_ms(phases.replay_dp_ns);
+  state.counters["teardown_ms"] = mean_ms(phases.teardown_ns);
   state.counters["verdict_identical"] = 1.0;
   benchjson::memory_counters(state);
 }

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "wfregs/runtime/history.hpp"
@@ -152,7 +151,11 @@ class Engine {
 
  private:
   struct Frame {
-    ProgramRef code;
+    /// Owned by sys_, which outlives the engine: a raw pointer keeps frame
+    /// copies (apply() journals the stepped process) free of refcount
+    /// traffic on programs every worker shares.
+    const ProgramCode* code = nullptr;
+    std::uint32_t code_id = 0;  ///< dense program id (see program_ids_)
     Locals locals;
     std::vector<Handle> env;
     int result_reg_in_parent = -1;
@@ -185,13 +188,15 @@ class Engine {
   std::shared_ptr<const System> sys_;
   /// Dense, construction-order-stable id for every ProgramCode reachable
   /// from sys_ (toplevels in process order, then implementation programs in
-  /// (object, invocation, port) order).  config_key() emits these ids
-  /// instead of raw pointers, so keys -- and the checkpoint fingerprints
-  /// built from them -- are identical across processes and across separate
-  /// constructions of an equivalent System.  Shared so that the many engine
-  /// copies the explorer makes don't each rebuild (or duplicate) the table.
-  std::shared_ptr<const std::unordered_map<const ProgramCode*, std::uint64_t>>
-      program_ids_;
+  /// (object, invocation, port) order; a program shared by several slots
+  /// keeps its first id).  config_key() emits these ids instead of raw
+  /// pointers, so keys -- and the checkpoint fingerprints built from them
+  /// -- are identical across processes and across separate constructions of
+  /// an equivalent System.  program_ids_[gid][inv * ports + port] is the id
+  /// of implemented object gid's program for (inv, port); frames carry
+  /// their id, so a key costs no lookup.  Shared so that the many engine
+  /// copies the explorer makes don't each duplicate the table.
+  std::shared_ptr<const std::vector<std::vector<std::uint32_t>>> program_ids_;
   /// compiled_[gid]: the hot-path transition table of base object gid
   /// (nullptr for virtual slots).  Borrowed from sys_'s BaseObjects, which
   /// the engine keeps alive through sys_.

@@ -80,6 +80,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
@@ -140,6 +141,17 @@ struct ExploreStats {
 /// determinism contract (contention IS the nondeterminism being measured).
 using ContentionStats = concurrent::ContentionCounters;
 
+/// Wall time of the parallel explorer's phases, in nanoseconds (all zero
+/// for sequential explorations): discovery (threads start to join), the
+/// fused canonical replay + longest-path DP, and teardown (freeing nodes,
+/// tables and arenas).  Telemetry like `contention`: never part of any
+/// determinism contract.
+struct ExplorePhases {
+  std::uint64_t discover_ns = 0;
+  std::uint64_t replay_dp_ns = 0;
+  std::uint64_t teardown_ns = 0;
+};
+
 struct ExploreOutcome {
   /// False when a configuration cycle was found (some execution runs
   /// forever: the implementation is not wait-free).
@@ -150,6 +162,7 @@ struct ExploreOutcome {
   std::optional<std::string> violation;
   ExploreStats stats;
   ContentionStats contention;
+  ExplorePhases phases;
   /// Out-of-core observability (never part of any bit-identity contract --
   /// a resumed run matches an uninterrupted one on every field above):
   /// `resumed` reports that this run restored state from a checkpoint, and

@@ -1,5 +1,6 @@
 #include "wfregs/consensus/power.hpp"
 
+#include <cstdint>
 #include <map>
 #include <stdexcept>
 #include <tuple>
@@ -93,39 +94,137 @@ class Synthesizer {
                : obj.port_of_process[static_cast<std::size_t>(p)];
   }
 
-  /// Discharges every obligation on the list; each terminal must satisfy
-  /// agreement + validity, each non-terminal must survive every adversary
-  /// move of every undecided process.
-  bool solve(std::vector<Cfg>& obligations) {
-    if (++nodes_ > node_cap_) {
-      within_cap_ = false;
-      return false;
-    }
-    if (obligations.empty()) return true;
-    Cfg cfg = std::move(obligations.back());
-    obligations.pop_back();
-    bool ok;
-    if (cfg.terminal()) {
-      ok = cfg.decided[0] == cfg.decided[1] &&
-           (cfg.decided[0] == cfg.input[0] ||
-            cfg.decided[0] == cfg.input[1]) &&
-           solve(obligations);
-    } else {
-      ok = expand(cfg, 0, obligations);
-    }
-    // Restore the caller's list so backtracking above us sees it unchanged.
-    obligations.push_back(std::move(cfg));
-    return ok;
+  /// One activation of the search.  The search is a backtracking proof
+  /// over an obligation list: kSolve discharges the newest obligation,
+  /// kExpand assigns (or reuses) a strategy entry for each undecided
+  /// process, kApply queues the successors of one action.  Each frame
+  /// resumes at `stage` once the frame it called has returned, so the
+  /// search depth -- one level per discharged obligation, up to the node
+  /// cap -- lives on the heap, not on the call stack.
+  struct Frame {
+    enum class Kind : std::uint8_t { kSolve, kExpand, kApply };
+    Kind kind = Kind::kSolve;
+    int stage = 0;
+    int p = 0;
+    std::size_t cfg = 0;  ///< expand/apply: index of the solve frame that
+                          ///< owns the configuration being expanded
+    Action action{};      ///< apply
+    std::size_t next = 0;  ///< expand: next candidate; apply: successors
+    View view;             ///< expand: the strategy entry being assigned
+    Cfg owned;             ///< solve: the obligation being discharged
+  };
+
+  /// Makes `f` a fresh frame of `kind`, keeping its buffers for reuse.
+  static void reset(Frame& f, Frame::Kind kind, std::size_t cfg, int p) {
+    f.kind = kind;
+    f.stage = 0;
+    f.p = p;
+    f.cfg = cfg;
+    f.next = 0;
   }
 
-  /// Queues the successor obligations for every undecided process starting
-  /// from index `p`, branching over unassigned strategy entries.
-  bool expand(const Cfg& cfg, int p, std::vector<Cfg>& obligations) {
-    if (p == 2) return solve(obligations);
-    if (cfg.decided[p] >= 0) return expand(cfg, p + 1, obligations);
-    const View view{p, cfg.input[p], cfg.hist[p]};
-    if (const auto it = strategy_.find(view); it != strategy_.end()) {
-      return apply_and_continue(cfg, p, it->second, obligations);
+  /// Pushes a fresh frame; invalidates references into frames_.
+  void call(Frame::Kind kind, std::size_t cfg, int p) {
+    if (live_ == frames_.size()) frames_.emplace_back();
+    reset(frames_[live_++], kind, cfg, p);
+  }
+
+  /// Discharges every obligation on the list; each terminal must satisfy
+  /// agreement + validity, each non-terminal must survive every adversary
+  /// move of every undecided process.  Leaves the list as it found it.
+  bool solve(std::vector<Cfg>& obligations) {
+    bool ret = false;  // the result of the frame that returned last
+    call(Frame::Kind::kSolve, 0, 0);
+    while (live_ > 0) {
+      const std::size_t top = live_ - 1;
+      Frame& f = frames_[top];
+      switch (f.kind) {
+        case Frame::Kind::kSolve:
+          if (f.stage == 1) {
+            // Restore the caller's list so backtracking sees it unchanged.
+            obligations.push_back(std::move(f.owned));
+            --live_;
+            break;
+          }
+          if (++nodes_ > node_cap_) {
+            within_cap_ = false;
+            ret = false;
+            --live_;
+            break;
+          }
+          if (obligations.empty()) {
+            ret = true;
+            --live_;
+            break;
+          }
+          f.owned = std::move(obligations.back());
+          obligations.pop_back();
+          f.stage = 1;
+          if (!f.owned.terminal()) {
+            call(Frame::Kind::kExpand, top, 0);
+          } else if (f.owned.decided[0] == f.owned.decided[1] &&
+                     (f.owned.decided[0] == f.owned.input[0] ||
+                      f.owned.decided[0] == f.owned.input[1])) {
+            call(Frame::Kind::kSolve, 0, 0);
+          } else {
+            ret = false;
+          }
+          break;
+        case Frame::Kind::kExpand:
+          expand_step(top, ret);
+          break;
+        case Frame::Kind::kApply:
+          if (f.stage == 1) {
+            for (std::size_t k = 0; k < f.next; ++k) obligations.pop_back();
+            --live_;
+            break;
+          }
+          f.next = push_successors(frames_[f.cfg].owned, f.p, f.action,
+                                   obligations);
+          f.stage = 1;
+          call(Frame::Kind::kExpand, f.cfg, f.p + 1);
+          break;
+      }
+    }
+    return ret;
+  }
+
+  /// Advances the expand frame at `top`: queues the successor obligations
+  /// for every undecided process from its `p` on, branching over
+  /// unassigned strategy entries.  A frame with nothing left to do after
+  /// its callee is replaced by that callee.
+  void expand_step(std::size_t top, bool& ret) {
+    Frame& f = frames_[top];
+    const Cfg& cfg = frames_[f.cfg].owned;
+    const int p = f.p;
+    if (f.stage == 2) {
+      // The candidate tried last has returned.
+      if (ret || !within_cap_) {
+        if (!ret) strategy_.erase(f.view);
+        --live_;
+        return;
+      }
+      strategy_.erase(f.view);
+      f.stage = 1;
+    }
+    if (f.stage == 0) {
+      if (p == 2) {
+        reset(f, Frame::Kind::kSolve, 0, 0);
+        return;
+      }
+      if (cfg.decided[p] >= 0) {
+        reset(f, Frame::Kind::kExpand, f.cfg, p + 1);
+        return;
+      }
+      std::get<0>(f.view) = p;
+      std::get<1>(f.view) = cfg.input[p];
+      std::get<2>(f.view) = cfg.hist[p];
+      if (const auto it = strategy_.find(f.view); it != strategy_.end()) {
+        f.action = it->second;
+        reset(f, Frame::Kind::kApply, f.cfg, p);
+        return;
+      }
+      f.stage = 1;
     }
     const bool may_invoke =
         static_cast<int>(cfg.hist[p].size()) < max_ops_;
@@ -136,33 +235,36 @@ class Synthesizer {
     // cannot track p's input -- and validity on the unanimous vectors then
     // forces a contradiction.
     const bool blind = may_invoke && cfg.hist[p].empty();
-    for (const Action& a : candidates_) {
+    while (f.next < candidates_.size()) {
+      const Action& a = candidates_[f.next++];
       if (!a.decide && !may_invoke) continue;
       if (a.decide && blind) continue;
-      strategy_.emplace(view, a);
-      const bool ok = apply_and_continue(cfg, p, a, obligations);
-      if (ok) return true;
-      strategy_.erase(view);
-      if (!within_cap_) return false;
+      strategy_.emplace(f.view, a);
+      f.stage = 2;
+      const std::size_t cfg_frame = f.cfg;
+      call(Frame::Kind::kApply, cfg_frame, p);
+      frames_[live_ - 1].action = a;
+      return;
     }
-    return false;
+    ret = false;
+    --live_;
   }
 
-  bool apply_and_continue(const Cfg& cfg, int p, const Action& a,
-                          std::vector<Cfg>& obligations) {
+  /// Queues the obligations `a` leads to when process `p` takes it at
+  /// `cfg`: the decided configuration, or every nondeterministic outcome of
+  /// the invocation.  Returns how many were queued.
+  std::size_t push_successors(const Cfg& cfg, int p, const Action& a,
+                              std::vector<Cfg>& obligations) const {
     if (a.decide) {
       Cfg child = cfg;
       child.decided[p] = a.value;
       obligations.push_back(std::move(child));
-      const bool ok = expand(cfg, p + 1, obligations);
-      obligations.pop_back();
-      return ok;
+      return 1;
     }
     const auto& obj = objects_[static_cast<std::size_t>(a.object)];
     const auto set = obj.spec->delta(
         cfg.states[static_cast<std::size_t>(a.object)], port_of(a.object, p),
         a.inv);
-    // Every nondeterministic outcome becomes an obligation.
     std::size_t pushed = 0;
     for (const Transition& t : set) {
       Cfg child = cfg;
@@ -171,9 +273,7 @@ class Synthesizer {
       obligations.push_back(std::move(child));
       ++pushed;
     }
-    const bool ok = expand(cfg, p + 1, obligations);
-    for (std::size_t k = 0; k < pushed; ++k) obligations.pop_back();
-    return ok;
+    return pushed;
   }
 
   const std::vector<SynthesisObject>& objects_;
@@ -183,6 +283,8 @@ class Synthesizer {
   bool within_cap_ = true;
   std::vector<Action> candidates_;
   std::map<View, Action> strategy_;
+  std::vector<Frame> frames_;  ///< the search stack; frames_[0, live_) live
+  std::size_t live_ = 0;
 };
 
 }  // namespace

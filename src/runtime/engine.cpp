@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "wfregs/runtime/config_intern.hpp"
 #include "wfregs/runtime/reduction.hpp"
@@ -14,33 +15,39 @@ std::size_t ConfigKeyHash::operator()(const ConfigKey& k) const {
 
 Engine::Engine(std::shared_ptr<const System> sys) : sys_(std::move(sys)) {
   if (!sys_) throw std::invalid_argument("Engine: null system");
+  std::vector<std::uint32_t> toplevel_ids;
   {
     // Enumerate every reachable program in a construction-order-independent
     // way so the dense ids (and hence config keys) are stable across
     // processes: toplevels first, then implementation programs by
     // (object, invocation, port).
-    auto ids =
-        std::make_shared<std::unordered_map<const ProgramCode*,
-                                            std::uint64_t>>();
-    std::uint64_t next = 0;
-    const auto assign = [&ids, &next](const ProgramCode* code) {
-      if (code && ids->emplace(code, next).second) ++next;
+    std::unordered_map<const ProgramCode*, std::uint32_t> ids;
+    const auto assign = [&ids](const ProgramCode* code) {
+      return ids.emplace(code, static_cast<std::uint32_t>(ids.size()))
+          .first->second;
     };
     for (ProcId p = 0; p < sys_->num_processes(); ++p) {
-      assign(sys_->toplevel_program(p).get());
+      toplevel_ids.push_back(assign(sys_->toplevel_program(p).get()));
     }
+    auto table = std::make_shared<std::vector<std::vector<std::uint32_t>>>(
+        static_cast<std::size_t>(sys_->num_objects()));
     for (ObjectId g = 0; g < sys_->num_objects(); ++g) {
       if (sys_->is_base(g)) continue;
       const auto& impl = *sys_->virt(g).impl;
+      const int ports = impl.iface().ports();
+      auto& row = (*table)[static_cast<std::size_t>(g)];
+      row.resize(static_cast<std::size_t>(impl.iface().num_invocations()) *
+                 static_cast<std::size_t>(ports));
       for (InvId inv = 0; inv < impl.iface().num_invocations(); ++inv) {
-        for (PortId port = 0; port < impl.iface().ports(); ++port) {
+        for (PortId port = 0; port < ports; ++port) {
           if (impl.has_program(inv, port)) {
-            assign(impl.program(inv, port).get());
+            row[static_cast<std::size_t>(inv * ports + port)] =
+                assign(impl.program(inv, port).get());
           }
         }
       }
     }
-    program_ids_ = std::move(ids);
+    program_ids_ = std::move(table);
   }
   compiled_.resize(static_cast<std::size_t>(sys_->num_objects()), nullptr);
   object_state_.resize(static_cast<std::size_t>(sys_->num_objects()), 0);
@@ -74,7 +81,8 @@ Engine::Engine(std::shared_ptr<const System> sys) : sys_(std::move(sys)) {
     auto& proc = procs_[static_cast<std::size_t>(p)];
     const ProgramRef& code = sys_->toplevel_program(p);
     Frame top;
-    top.code = code;
+    top.code = code.get();
+    top.code_id = toplevel_ids[static_cast<std::size_t>(p)];
     top.locals.regs.resize(static_cast<std::size_t>(code->num_regs()), 0);
     top.env = sys_->toplevel_env(p);
     proc.stack.push_back(std::move(top));
@@ -143,7 +151,11 @@ void Engine::prepare(ProcId p, UndoRecord* undo) {
       const auto& v = sys_->virt(h.gid);
       const ProgramRef& prog = v.impl->program(inv->inv, h.port);
       Frame child;
-      child.code = prog;
+      child.code = prog.get();
+      child.code_id = (*program_ids_)[static_cast<std::size_t>(h.gid)]
+                                     [static_cast<std::size_t>(
+                                         inv->inv * v.impl->iface().ports() +
+                                         h.port)];
       const int persist = v.impl->persistent_slots();
       child.locals.regs.resize(
           static_cast<std::size_t>(std::max(prog->num_regs(), persist)), 0);
@@ -356,8 +368,10 @@ void Engine::revert(UndoRecord& undo) {
   }
   history_.truncate(undo.history_size);
   for (const int op_id : undo.reopened_ops) history_.reopen_op(op_id);
-  procs_[static_cast<std::size_t>(undo.p)] = std::move(undo.saved_proc);
-  undo.p = -1;  // mark consumed (saved_proc was moved out)
+  // Swap rather than move: the record keeps the post-step buffers, which
+  // the next apply()'s snapshot copy reuses instead of allocating.
+  std::swap(procs_[static_cast<std::size_t>(undo.p)], undo.saved_proc);
+  undo.p = -1;  // mark consumed
 }
 
 StateId Engine::object_state(ObjectId g) const {
@@ -437,7 +451,7 @@ void Engine::emit_key(ConfigKey& key, const ProcessRenaming* renaming) const {
       // Program identity: code objects are immutable and shared, so each is
       // identified by its construction-order-stable dense id (not its
       // pointer -- keys must match across processes for checkpoint resume).
-      put(program_ids_->at(f.code.get()));
+      put(f.code_id);
       put(f.locals.pc);
       put(f.locals.regs.size());
       for (const Val v : f.locals.regs) put(v);

@@ -159,7 +159,9 @@ void RecordLogWriter::append(std::uint32_t tag, const std::uint8_t* payload,
   store_u32(rec.data() + 4, tag);
   store_u32(rec.data() + 8, static_cast<std::uint32_t>(payload_len));
   store_u32(rec.data() + 12, crc32(payload, payload_len));
-  std::memcpy(rec.data() + kRecordHeaderBytes, payload, payload_len);
+  if (payload_len > 0) {  // an empty payload may come as a null pointer
+    std::memcpy(rec.data() + kRecordHeaderBytes, payload, payload_len);
+  }
   write_all(fd_, rec.data(), rec.size());
   file_bytes_ += rec.size();
 }

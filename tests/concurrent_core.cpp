@@ -4,8 +4,9 @@
 //   * WsDeque -- owner LIFO / thief FIFO discipline, owner-side growth, and
 //     an exactly-once claim stress (owner popping against thief packs);
 //   * ConcurrentInterner -- the two-phase claim protocol's exactly-once
-//     publication under same-key races, and growth (table chaining) keeping
-//     every key findable;
+//     publication under same-key races, growth (table chaining) keeping
+//     every key findable, and the tombstone bound of publishing the
+//     successor before sealing;
 //   * StatsSnapshot -- the seqlock + double-collect read is a consistent
 //     cut (a writer-maintained cross-counter invariant survives concurrent
 //     collects; a torn read would break it), and the quiescent collect is
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "test_support.hpp"
+#include "wfregs/concurrent/chunk_arena.hpp"
 #include "wfregs/concurrent/hash.hpp"
 #include "wfregs/concurrent/interner.hpp"
 #include "wfregs/concurrent/snapshot.hpp"
@@ -152,15 +154,16 @@ std::vector<std::uint64_t> key_words(std::uint64_t i) {
 }
 
 TEST(ConcurrentCoreInterner, ClaimsOnceThenShares) {
+  concurrent::ChunkArena arena;
   ConcurrentInterner<int> interner;
   ContentionCounters c;
   const auto words = key_words(7);
   const std::uint64_t h = concurrent::hash_words(words);
-  const auto first = interner.intern(words, h, c);
+  const auto first = interner.intern(words, h, c, arena);
   ASSERT_NE(first.value, nullptr);
   EXPECT_TRUE(first.inserted);
   *first.value = 42;
-  const auto again = interner.intern(words, h, c);
+  const auto again = interner.intern(words, h, c, arena);
   EXPECT_FALSE(again.inserted);
   EXPECT_EQ(again.value, first.value);  // address-stable payload
   EXPECT_EQ(*again.value, 42);
@@ -173,12 +176,14 @@ TEST(ConcurrentCoreInterner, ClaimsOnceThenShares) {
 TEST(ConcurrentCoreInterner, GrowthKeepsEveryKeyFindable) {
   // Tiny initial table: the chain grows many times; published keys stay in
   // their original table and every lookup still finds them.
+  concurrent::ChunkArena arena;
   ConcurrentInterner<std::uint64_t> interner(8);
   ContentionCounters c;
   const std::uint64_t n = 5000;
   for (std::uint64_t i = 0; i < n; ++i) {
     const auto words = key_words(i);
-    const auto r = interner.intern(words, concurrent::hash_words(words), c);
+    const auto r =
+        interner.intern(words, concurrent::hash_words(words), c, arena);
     ASSERT_TRUE(r.inserted) << i;
     *r.value = i;
   }
@@ -198,6 +203,7 @@ TEST(ConcurrentCoreInterner, PublishRacePublishesEachKeyExactlyOnce) {
   const std::uint64_t kKeys = 512;
   for (int round = 0; round < rounds; ++round) {
     // Small initial table: same-key races and seal/growth races overlap.
+    std::vector<concurrent::ChunkArena> arenas(kThreads);
     ConcurrentInterner<int> interner(8);
     std::vector<std::atomic<int>> inserted_count(kKeys);
     for (auto& a : inserted_count) a.store(0, std::memory_order_relaxed);
@@ -209,6 +215,7 @@ TEST(ConcurrentCoreInterner, PublishRacePublishesEachKeyExactlyOnce) {
     for (int th = 0; th < kThreads; ++th) {
       threads.emplace_back([&, th] {
         ContentionCounters c;
+        concurrent::ChunkArena& arena = arenas[static_cast<std::size_t>(th)];
         while (!start.load(std::memory_order_acquire)) {}
         // Every thread interns EVERY key, in a thread-dependent order, so
         // each key sees kThreads racing claimers.
@@ -217,7 +224,7 @@ TEST(ConcurrentCoreInterner, PublishRacePublishesEachKeyExactlyOnce) {
               (k * 7 + static_cast<std::uint64_t>(th) * 61) % kKeys;
           const auto words = key_words(i);
           const auto r =
-              interner.intern(words, concurrent::hash_words(words), c);
+              interner.intern(words, concurrent::hash_words(words), c, arena);
           ASSERT_NE(r.value, nullptr);
           if (r.inserted) {
             inserted_count[i].fetch_add(1, std::memory_order_relaxed);
@@ -239,6 +246,77 @@ TEST(ConcurrentCoreInterner, PublishRacePublishesEachKeyExactlyOnce) {
       ASSERT_EQ(inserted_count[i].load(std::memory_order_relaxed), 1)
           << "key " << i << " round " << round;
     }
+  }
+}
+
+TEST(ConcurrentCoreInterner, GrowthLeavesAtMostOneTombstonePerClaimer) {
+  // 8 claimers from an 8-slot table through a dozen growths.  Each key is
+  // either shared (every thread interns it) or private to one thread.  The
+  // grower publishes the successor before sealing, so a claimer only
+  // tombstones a slot when its reservation straddles the seal: at most
+  // once per claimer per table.
+  const int rounds = stress_rounds(2);
+  const int kThreads = 8;
+  const std::uint64_t kShared = 2048;
+  const std::uint64_t kPrivate = 512;  // per thread
+  const std::uint64_t kKeys = kShared + kThreads * kPrivate;
+  for (int round = 0; round < rounds; ++round) {
+    std::vector<concurrent::ChunkArena> arenas(kThreads);
+    ConcurrentInterner<std::uint64_t> interner(8);
+    std::vector<std::atomic<int>> inserted_count(kKeys);
+    for (auto& a : inserted_count) a.store(0, std::memory_order_relaxed);
+    std::atomic<bool> start{false};
+
+    std::vector<std::thread> threads;
+    for (int th = 0; th < kThreads; ++th) {
+      threads.emplace_back([&, th] {
+        ContentionCounters c;
+        concurrent::ChunkArena& arena = arenas[static_cast<std::size_t>(th)];
+        const auto t = static_cast<std::uint64_t>(th);
+        while (!start.load(std::memory_order_acquire)) {}
+        const auto intern_key = [&](std::uint64_t i) {
+          const auto words = key_words(i);
+          const auto r =
+              interner.intern(words, concurrent::hash_words(words), c, arena);
+          ASSERT_NE(r.value, nullptr);
+          if (r.inserted) {
+            *r.value = i;
+            inserted_count[i].fetch_add(1, std::memory_order_relaxed);
+          }
+        };
+        // Every shared key in a thread-dependent order, with this thread's
+        // private keys interleaved (kShared / kPrivate == 4).
+        for (std::uint64_t k = 0; k < kShared; ++k) {
+          intern_key((k * 7 + t * 61) % kShared);
+          if (k % 4 == 0) intern_key(kShared + t * kPrivate + k / 4);
+        }
+      });
+    }
+    start.store(true, std::memory_order_release);
+    for (auto& th : threads) th.join();
+
+    ASSERT_EQ(interner.size(), kKeys);
+    for (std::uint64_t i = 0; i < kKeys; ++i) {
+      ASSERT_EQ(inserted_count[i].load(std::memory_order_relaxed), 1)
+          << "key " << i << " round " << round;
+      const auto words = key_words(i);
+      const std::uint64_t* v =
+          interner.find(words, concurrent::hash_words(words));
+      ASSERT_NE(v, nullptr) << "key " << i << " round " << round;
+      EXPECT_EQ(*v, i);
+    }
+    const auto tables = interner.table_stats();
+    ASSERT_GE(tables.size(), 11u) << "round " << round;
+    std::size_t nodes = 0;
+    for (std::size_t k = 0; k < tables.size(); ++k) {
+      // Every table but the newest is sealed; the newest has no tombstones
+      // to bound.
+      EXPECT_LE(tables[k].tombstones, static_cast<std::size_t>(kThreads))
+          << "table " << k << " of " << tables[k].slots << " slots, round "
+          << round;
+      nodes += tables[k].nodes;
+    }
+    EXPECT_EQ(nodes, kKeys);
   }
 }
 

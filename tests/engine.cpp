@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
 #include <stdexcept>
+#include <vector>
 
 #include "test_support.hpp"
 #include "wfregs/runtime/scheduler.hpp"
@@ -135,6 +138,60 @@ TEST(Engine, ImplementedObjectRunsItsPrograms) {
   ASSERT_TRUE(ops[0].response.has_value());
   EXPECT_EQ(*ops[0].response, lay.ok());
   EXPECT_LT(ops[0].invoke_time, ops[0].response_time);
+}
+
+// Two processes writing then reading one negated bit.  `held`, when
+// non-null, receives the implementation and programs, as a caller that
+// keeps its own pointers would.
+std::shared_ptr<System> negated_bit_system(
+    std::vector<std::shared_ptr<const void>>* held) {
+  const zoo::RegisterLayout lay{2};
+  auto impl = negated_bit_impl(2);
+  auto p0 = two_shot("p0", 0, lay.write(1), lay.read());
+  auto p1 = two_shot("p1", 0, lay.write(0), lay.read());
+  auto sys = std::make_shared<System>(2);
+  const ObjectId nb = sys->add_implemented(impl, {0, 1});
+  sys->set_toplevel(0, p0, {nb});
+  sys->set_toplevel(1, p1, {nb});
+  if (held) held->insert(held->end(), {impl, p0, p1});
+  return sys;
+}
+
+TEST(Engine, FramesNeedOnlyTheSystemToOwnPrograms) {
+  // Frames point at programs without owning them: the System owns every
+  // implementation and program, and every engine copy shares the System.
+  // So an engine whose creator dropped all its pointers -- the System's
+  // included -- must behave exactly like one whose creator kept them.
+  std::vector<std::shared_ptr<const void>> held;
+  Engine reference(negated_bit_system(&held));
+  std::optional<Engine> original;
+  original.emplace(negated_bit_system(nullptr));
+  Engine e = *original;
+  original.reset();  // the copy is now the System's only owner
+  EXPECT_EQ(e.config_key(), reference.config_key());
+  e.commit(0);  // p0 is inside the negated bit's write program
+  reference.commit(0);
+  EXPECT_EQ(e.config_key(), reference.config_key());
+  const ConfigKey before = e.config_key();
+  Engine::UndoRecord undo;
+  Engine::UndoRecord reference_undo;
+  for (int round = 0; round < 2; ++round) {  // the second reuses the records
+    e.apply(1, 0, undo);
+    reference.apply(1, 0, reference_undo);
+    EXPECT_EQ(e.config_key(), reference.config_key());
+    e.revert(undo);
+    reference.revert(reference_undo);
+    EXPECT_EQ(e.config_key(), before);
+    EXPECT_EQ(reference.config_key(), before);
+  }
+  while (!e.all_done()) {
+    const ProcId p = e.runnable().front();
+    e.commit(p);
+    reference.commit(p);
+    EXPECT_EQ(e.config_key(), reference.config_key());
+  }
+  EXPECT_EQ(e.result(0), reference.result(0));
+  EXPECT_EQ(e.result(1), reference.result(1));
 }
 
 TEST(Engine, NestedImplementationsFlatten) {
