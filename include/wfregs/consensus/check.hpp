@@ -17,12 +17,14 @@
 // r_b / w_b that size the Section 4.3 arrays).
 #pragma once
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "wfregs/runtime/explorer.hpp"
 #include "wfregs/runtime/implementation.hpp"
+#include "wfregs/runtime/system.hpp"
 
 namespace wfregs::consensus {
 
@@ -63,9 +65,35 @@ struct ConsensusCheckResult {
   std::vector<ExploreStats> per_root;
 };
 
+/// The part of the consensus scenario that all 2^n input vectors share:
+/// the implemented object's flattened placements, one CompiledType per
+/// distinct base spec, and the two propose programs.  check_consensus
+/// builds one per job, so a job compiles each base type once however many
+/// roots it explores.
+class ScenarioTemplate {
+ public:
+  /// Throws std::invalid_argument for a null implementation.
+  explicit ScenarioTemplate(std::shared_ptr<const Implementation> impl);
+
+  int processes() const { return system_.num_processes(); }
+
+  /// The scenario system for one input vector: a copy of the template
+  /// (base objects share its CompiledTypes) in which process p proposes
+  /// inputs[p] (0 or 1) through iface port p.  Processes with the same
+  /// input share one propose program.  Throws std::invalid_argument unless
+  /// there is one binary input per port.
+  std::shared_ptr<System> instantiate(const std::vector<int>& inputs) const;
+
+ private:
+  System system_;
+  ObjectId object_ = -1;
+  std::array<ProgramRef, 2> propose_;
+};
+
 /// Builds the standard consensus scenario system for one input vector:
 /// process p proposes inputs[p] (0 or 1) through iface port p.  The object
 /// id of the implemented consensus object is the LAST id in the system.
+/// Equivalent to ScenarioTemplate(impl).instantiate(inputs).
 std::shared_ptr<System> consensus_scenario(
     std::shared_ptr<const Implementation> impl,
     const std::vector<int>& inputs);

@@ -1,7 +1,11 @@
 // The persistent verdict store: an append-only, CRC-checked record log with
 // an in-memory open-addressing index (the ConfigInterner idiom: dense
 // record ids, power-of-two probe table, linear probing over cached key
-// hashes).
+// hashes).  The index holds each record's key, file offset and payload
+// length -- never the payload -- so its RAM per record does not grow with
+// the verdict size.  A hit reads the record back with pread() and checks
+// its magic, length, key and CRC again; a mismatch or an I/O error throws
+// instead of returning a verdict.
 //
 // On-disk layout:
 //
@@ -22,8 +26,8 @@
 // well-defined.
 //
 // Thread-safety: none here; JobScheduler serializes access under its own
-// lock.  An empty path gives a purely in-memory store (same API, nothing
-// persisted).
+// lock.  An empty path gives an in-memory store: the same log, written to
+// an anonymous memfd that nothing persists.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +66,7 @@ bool check_store_header(const std::uint8_t* data, std::size_t size);
 class VerdictStore {
  public:
   /// Opens (creating if absent) the log at `path`, replaying and
-  /// truncating as described above.  Empty path = in-memory only.
+  /// truncating as described above.  Empty path = an in-memory log.
   /// Throws std::runtime_error when the file cannot be opened or created.
   explicit VerdictStore(std::string path);
   ~VerdictStore();
@@ -70,11 +74,13 @@ class VerdictStore {
   VerdictStore(const VerdictStore&) = delete;
   VerdictStore& operator=(const VerdictStore&) = delete;
 
-  /// The stored verdict for `key`, if any.
+  /// The stored verdict for `key`, if any.  Throws std::runtime_error when
+  /// the record no longer matches what put() wrote (see the header).
   std::optional<Verdict> lookup(const JobKey& key) const;
 
   /// Raw encoded payload for `key` (the bit-identity probe used by the
-  /// coherence tests and the E13 bench).
+  /// coherence tests and the E13 bench); checked and throwing like
+  /// lookup().
   std::optional<std::vector<std::uint8_t>> lookup_encoded(
       const JobKey& key) const;
 
@@ -92,8 +98,9 @@ class VerdictStore {
   /// Idempotent, conflict-free merge of one record: a key we already hold
   /// with the identical payload is skipped (no append, no log growth on
   /// repeated syncs); a new key -- or, degenerately, a differing payload
-  /// for a known key, impossible for honest content-addressed stores --
-  /// is put_encoded.  Returns true when the record was applied.
+  /// for a known key, impossible for honest content-addressed stores, or a
+  /// held record that fails its read-time check -- is put_encoded.  Returns
+  /// true when the record was applied.
   bool merge_encoded(const JobKey& key,
                      const std::vector<std::uint8_t>& payload);
 
@@ -101,10 +108,10 @@ class VerdictStore {
   std::vector<JobKey> keys() const;
 
   /// Records currently indexed (distinct keys).
-  std::size_t size() const { return keys_.size() - tombstones_; }
+  std::size_t size() const { return records_.size(); }
 
   /// Bytes in the on-disk log (header included); 0 for in-memory stores.
-  std::uint64_t file_bytes() const { return file_bytes_; }
+  std::uint64_t file_bytes() const { return path_.empty() ? 0 : end_; }
 
   /// Records dropped by torn-tail recovery at open().
   std::size_t recovered_drop() const { return recovered_drop_; }
@@ -112,23 +119,33 @@ class VerdictStore {
   const std::string& path() const { return path_; }
 
  private:
+  /// Where one indexed record lives in the log: `offset` is its header's.
+  struct Record {
+    JobKey key;
+    std::uint64_t offset = 0;
+    std::uint32_t len = 0;  ///< payload bytes
+  };
+
   std::uint32_t find_slot(const JobKey& key) const;
-  void index_insert(const JobKey& key, std::uint32_t id);
+  /// Indexes `record`, repointing an existing entry for its key.
+  void index_record(const Record& record);
   void grow();
   void replay();
-  void append_record(const JobKey& key,
-                     const std::vector<std::uint8_t>& payload);
+  Record append_record(const JobKey& key,
+                       const std::vector<std::uint8_t>& payload);
+  /// Reads `record` back into *payload.  False when the bytes at its
+  /// offset are no longer the record put() wrote; throws on I/O errors.
+  bool read_payload(const Record& record,
+                    std::vector<std::uint8_t>* payload) const;
 
   std::string path_;
   int fd_ = -1;
-  std::uint64_t file_bytes_ = 0;
+  std::uint64_t end_ = 0;  ///< log size; the next record's offset
   std::size_t recovered_drop_ = 0;
-  std::size_t tombstones_ = 0;
 
-  // In-memory side: record id -> (key, encoded payload); the probe table
-  // maps key hashes to id+1 (0 = empty slot), ConfigInterner-style.
-  std::vector<JobKey> keys_;
-  std::vector<std::vector<std::uint8_t>> payloads_;
+  // Record id -> Record; the probe table maps key hashes to id+1 (0 =
+  // empty slot), ConfigInterner-style.
+  std::vector<Record> records_;
   std::vector<std::uint32_t> slots_;
   std::size_t mask_ = 0;
 };

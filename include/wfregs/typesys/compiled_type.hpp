@@ -35,6 +35,10 @@ class CompiledType {
   /// Flattens `spec`.  Equivalent to spec.compile().
   explicit CompiledType(const TypeSpec& spec);
 
+  /// CompiledTypes constructed so far by this process, on any thread: how
+  /// tests check that a consensus job compiles each base type once.
+  static std::uint64_t compiled_count();
+
   // ---- dimensions --------------------------------------------------------
 
   const std::string& name() const { return name_; }

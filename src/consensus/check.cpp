@@ -8,41 +8,59 @@
 
 namespace wfregs::consensus {
 
-std::shared_ptr<System> consensus_scenario(
-    std::shared_ptr<const Implementation> impl,
-    const std::vector<int>& inputs) {
+namespace {
+
+int scenario_processes(const Implementation* impl) {
   if (!impl) {
     throw std::invalid_argument("consensus_scenario: null implementation");
   }
-  const int n = impl->iface().ports();
-  if (static_cast<int>(inputs.size()) != n) {
-    throw std::invalid_argument(
-        "consensus_scenario: need one input per port");
-  }
-  auto sys = std::make_shared<System>(n);
+  return impl->iface().ports();
+}
+
+}  // namespace
+
+ScenarioTemplate::ScenarioTemplate(
+    std::shared_ptr<const Implementation> impl)
+    : system_(scenario_processes(impl.get())) {
+  const int n = system_.num_processes();
   std::vector<PortId> ports;
   for (PortId p = 0; p < n; ++p) ports.push_back(p);
-  const ObjectId obj = sys->add_implemented(std::move(impl), ports);
+  object_ = system_.add_implemented(std::move(impl), ports);
   // One program per distinct input VALUE, shared by every process proposing
   // it.  Process symmetry compares toplevel programs by pointer, so sharing
   // (rather than building an identical per-process copy) is what lets
   // Reduction::kSleepSymmetry treat same-input processes as interchangeable.
-  std::array<ProgramRef, 2> propose;
   for (int v = 0; v < 2; ++v) {
     ProgramBuilder b;
     b.invoke(0, lit(v), 0);  // propose(v) is invocation id `v`
     b.ret(reg(0));
-    propose[static_cast<std::size_t>(v)] =
+    propose_[static_cast<std::size_t>(v)] =
         b.build("propose_v" + std::to_string(v));
   }
+}
+
+std::shared_ptr<System> ScenarioTemplate::instantiate(
+    const std::vector<int>& inputs) const {
+  const int n = system_.num_processes();
+  if (static_cast<int>(inputs.size()) != n) {
+    throw std::invalid_argument(
+        "consensus_scenario: need one input per port");
+  }
+  auto sys = std::make_shared<System>(system_);
   for (ProcId p = 0; p < n; ++p) {
     const int input = inputs[static_cast<std::size_t>(p)];
     if (input != 0 && input != 1) {
       throw std::invalid_argument("consensus_scenario: inputs are binary");
     }
-    sys->set_toplevel(p, propose[static_cast<std::size_t>(input)], {obj});
+    sys->set_toplevel(p, propose_[static_cast<std::size_t>(input)], {object_});
   }
   return sys;
+}
+
+std::shared_ptr<System> consensus_scenario(
+    std::shared_ptr<const Implementation> impl,
+    const std::vector<int>& inputs) {
+  return ScenarioTemplate(std::move(impl)).instantiate(inputs);
 }
 
 ConsensusCheckResult check_consensus(
@@ -90,10 +108,13 @@ ConsensusCheckResult check_consensus(
   // freshly cancelled root has nothing to write -- the finals banked by the
   // earlier roots still make resubmission cheaper than recomputation.)
   bool any_persisted = false;
+  // The roots differ only in what each process proposes: build (and
+  // compile) the system once and give each root a copy of it.
+  const ScenarioTemplate scenario(impl);
   for (int vec = 0; vec < (1 << n); ++vec) {
     std::vector<int> inputs;
     for (int p = 0; p < n; ++p) inputs.push_back((vec >> p) & 1);
-    auto sys = consensus_scenario(impl, inputs);
+    auto sys = scenario.instantiate(inputs);
     const TerminalCheck check =
         [&inputs, n](const Engine& e) -> std::optional<std::string> {
       const Val decided = *e.result(0);

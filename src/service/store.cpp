@@ -1,6 +1,7 @@
 #include "wfregs/service/store.hpp"
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <array>
@@ -45,9 +46,10 @@ void store_u64(std::uint8_t* p, std::uint64_t v) {
   for (int k = 0; k < 8; ++k) p[k] = (v >> (8 * k)) & 0xFF;
 }
 
-void write_all(int fd, const std::uint8_t* data, std::size_t size) {
+void pwrite_all(int fd, const std::uint8_t* data, std::size_t size,
+                std::uint64_t offset) {
   while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);
+    const ssize_t n = ::pwrite(fd, data, size, static_cast<off_t>(offset));
     if (n < 0) {
       if (errno == EINTR) continue;
       throw std::runtime_error(std::string("VerdictStore: write failed: ") +
@@ -55,6 +57,7 @@ void write_all(int fd, const std::uint8_t* data, std::size_t size) {
     }
     data += n;
     size -= static_cast<std::size_t>(n);
+    offset += static_cast<std::uint64_t>(n);
   }
 }
 
@@ -96,18 +99,26 @@ bool check_store_header(const std::uint8_t* data, std::size_t size) {
 VerdictStore::VerdictStore(std::string path) : path_(std::move(path)) {
   slots_.assign(64, 0);
   mask_ = slots_.size() - 1;
-  if (path_.empty()) return;
-  fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+  // An in-memory store is the same log over an anonymous file, so hits are
+  // read back and checked exactly as they are from a file on disk.
+  fd_ = path_.empty()
+            ? ::memfd_create("wfregs-verdicts", MFD_CLOEXEC)
+            : ::open(path_.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
   if (fd_ < 0) {
-    throw std::runtime_error("VerdictStore: cannot open " + path_ + ": " +
-                             std::strerror(errno));
+    throw std::runtime_error(
+        "VerdictStore: cannot open " +
+        (path_.empty() ? std::string("an in-memory log") : path_) + ": " +
+        std::strerror(errno));
   }
-  replay();
+  try {
+    replay();
+  } catch (...) {
+    ::close(fd_);  // the destructor does not run for a throwing constructor
+    throw;
+  }
 }
 
-VerdictStore::~VerdictStore() {
-  if (fd_ >= 0) ::close(fd_);
-}
+VerdictStore::~VerdictStore() { ::close(fd_); }
 
 void VerdictStore::replay() {
   // Read the whole file; an empty file gets the header written, anything
@@ -127,9 +138,9 @@ void VerdictStore::replay() {
     }
   }
   if (data.empty()) {
-    write_all(fd_, reinterpret_cast<const std::uint8_t*>(kHeader),
-              sizeof(kHeader));
-    file_bytes_ = sizeof(kHeader);
+    pwrite_all(fd_, reinterpret_cast<const std::uint8_t*>(kHeader),
+               sizeof(kHeader), 0);
+    end_ = sizeof(kHeader);
     return;
   }
   if (!check_store_header(data.data(), data.size())) {
@@ -142,16 +153,13 @@ void VerdictStore::replay() {
       sizeof(kHeader) + parse_store_records(data.data() + sizeof(kHeader),
                                             data.size() - sizeof(kHeader),
                                             &records);
-  for (StoreRecord& record : records) {
-    // Committed record: index it (last writer wins on duplicate keys).
-    const std::uint32_t slot = find_slot(record.key);
-    if (slots_[slot] != 0) {
-      payloads_[slots_[slot] - 1] = std::move(record.payload);
-    } else {
-      keys_.push_back(record.key);
-      payloads_.push_back(std::move(record.payload));
-      index_insert(record.key, static_cast<std::uint32_t>(keys_.size()));
-    }
+  // Committed records are contiguous from the header on: index each by its
+  // offset (last writer wins on duplicate keys).
+  std::uint64_t offset = sizeof(kHeader);
+  for (const StoreRecord& record : records) {
+    const auto len = static_cast<std::uint32_t>(record.payload.size());
+    index_record(Record{record.key, offset, len});
+    offset += kRecordHeaderBytes + len;
   }
   if (committed < data.size()) {
     // Torn or corrupt tail: drop it so the next append lands on a clean
@@ -163,24 +171,26 @@ void VerdictStore::replay() {
           std::strerror(errno));
     }
   }
-  if (::lseek(fd_, static_cast<off_t>(committed), SEEK_SET) < 0) {
-    throw std::runtime_error(std::string("VerdictStore: seek failed: ") +
-                             std::strerror(errno));
-  }
-  file_bytes_ = committed;
+  end_ = committed;
 }
 
 std::uint32_t VerdictStore::find_slot(const JobKey& key) const {
   std::size_t slot = key_probe_hash(key) & mask_;
-  while (slots_[slot] != 0 && !(keys_[slots_[slot] - 1] == key)) {
+  while (slots_[slot] != 0 && !(records_[slots_[slot] - 1].key == key)) {
     slot = (slot + 1) & mask_;
   }
   return static_cast<std::uint32_t>(slot);
 }
 
-void VerdictStore::index_insert(const JobKey& key, std::uint32_t id) {
-  if ((keys_.size() + 1) * 4 >= slots_.size() * 3) grow();
-  slots_[find_slot(key)] = id;
+void VerdictStore::index_record(const Record& record) {
+  const std::uint32_t slot = find_slot(record.key);
+  if (slots_[slot] != 0) {
+    records_[slots_[slot] - 1] = record;
+    return;
+  }
+  records_.push_back(record);
+  if ((records_.size() + 1) * 4 >= slots_.size() * 3) grow();
+  slots_[find_slot(record.key)] = static_cast<std::uint32_t>(records_.size());
 }
 
 void VerdictStore::grow() {
@@ -188,22 +198,60 @@ void VerdictStore::grow() {
   slots_.assign(old.size() * 2, 0);
   mask_ = slots_.size() - 1;
   for (const std::uint32_t id : old) {
-    if (id != 0) slots_[find_slot(keys_[id - 1])] = id;
+    if (id != 0) slots_[find_slot(records_[id - 1].key)] = id;
   }
 }
 
-std::optional<Verdict> VerdictStore::lookup(const JobKey& key) const {
-  const std::uint32_t slot = find_slot(key);
-  if (slots_[slot] == 0) return std::nullopt;
-  const std::vector<std::uint8_t>& bytes = payloads_[slots_[slot] - 1];
-  return decode_verdict(bytes.data(), bytes.size());
+bool VerdictStore::read_payload(const Record& record,
+                                std::vector<std::uint8_t>* payload) const {
+  std::vector<std::uint8_t> rec(kRecordHeaderBytes + record.len);
+  std::size_t got = 0;
+  while (got < rec.size()) {
+    const ssize_t n =
+        ::pread(fd_, rec.data() + got, rec.size() - got,
+                static_cast<off_t>(record.offset + got));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw std::runtime_error(std::string("VerdictStore: read failed: ") +
+                               std::strerror(errno));
+    }
+    if (n == 0) {
+      throw std::runtime_error("VerdictStore: record at offset " +
+                               std::to_string(record.offset) +
+                               " lies past the end of the log");
+    }
+    got += static_cast<std::size_t>(n);
+  }
+  const std::uint8_t* payload_bytes = rec.data() + kRecordHeaderBytes;
+  if (load_u32(rec.data()) != kRecordMagic ||
+      load_u32(rec.data() + 4) != record.len ||
+      load_u64(rec.data() + 8) != record.key.hi ||
+      load_u64(rec.data() + 16) != record.key.lo ||
+      load_u32(rec.data() + 24) != crc32(payload_bytes, record.len)) {
+    return false;
+  }
+  payload->assign(payload_bytes, payload_bytes + record.len);
+  return true;
 }
 
 std::optional<std::vector<std::uint8_t>> VerdictStore::lookup_encoded(
     const JobKey& key) const {
   const std::uint32_t slot = find_slot(key);
   if (slots_[slot] == 0) return std::nullopt;
-  return payloads_[slots_[slot] - 1];
+  const Record& record = records_[slots_[slot] - 1];
+  std::vector<std::uint8_t> payload;
+  if (!read_payload(record, &payload)) {
+    throw std::runtime_error("VerdictStore: record at offset " +
+                             std::to_string(record.offset) +
+                             " changed on disk (magic, key or CRC mismatch)");
+  }
+  return payload;
+}
+
+std::optional<Verdict> VerdictStore::lookup(const JobKey& key) const {
+  const auto bytes = lookup_encoded(key);
+  if (!bytes) return std::nullopt;
+  return decode_verdict(bytes->data(), bytes->size());
 }
 
 void VerdictStore::put(const JobKey& key, const Verdict& verdict) {
@@ -215,22 +263,17 @@ void VerdictStore::put_encoded(const JobKey& key,
   // Validate before committing: a malformed payload (a corrupt replication
   // frame, a bad merge source) must fail loudly, not poison the log.
   decode_verdict(payload.data(), payload.size());
-  append_record(key, payload);
-  const std::uint32_t slot = find_slot(key);
-  if (slots_[slot] != 0) {
-    payloads_[slots_[slot] - 1] = std::move(payload);
-  } else {
-    keys_.push_back(key);
-    payloads_.push_back(std::move(payload));
-    index_insert(key, static_cast<std::uint32_t>(keys_.size()));
-  }
+  index_record(append_record(key, payload));
 }
 
 bool VerdictStore::merge_encoded(const JobKey& key,
                                  const std::vector<std::uint8_t>& payload) {
   const std::uint32_t slot = find_slot(key);
-  if (slots_[slot] != 0 && payloads_[slots_[slot] - 1] == payload) {
-    return false;  // idempotent: identical record already committed
+  if (slots_[slot] != 0) {
+    std::vector<std::uint8_t> held;
+    if (read_payload(records_[slots_[slot] - 1], &held) && held == payload) {
+      return false;  // idempotent: identical record already committed
+    }
   }
   put_encoded(key, payload);
   return true;
@@ -238,16 +281,15 @@ bool VerdictStore::merge_encoded(const JobKey& key,
 
 std::vector<JobKey> VerdictStore::keys() const {
   std::vector<JobKey> out;
-  out.reserve(keys_.size());
+  out.reserve(records_.size());
   for (const std::uint32_t id : slots_) {
-    if (id != 0) out.push_back(keys_[id - 1]);
+    if (id != 0) out.push_back(records_[id - 1].key);
   }
   return out;
 }
 
-void VerdictStore::append_record(const JobKey& key,
-                                 const std::vector<std::uint8_t>& payload) {
-  if (fd_ < 0) return;
+VerdictStore::Record VerdictStore::append_record(
+    const JobKey& key, const std::vector<std::uint8_t>& payload) {
   std::vector<std::uint8_t> rec(kRecordHeaderBytes + payload.size());
   store_u32(rec.data(), kRecordMagic);
   store_u32(rec.data() + 4, static_cast<std::uint32_t>(payload.size()));
@@ -255,11 +297,13 @@ void VerdictStore::append_record(const JobKey& key,
   store_u64(rec.data() + 16, key.lo);
   store_u32(rec.data() + 24, crc32(payload.data(), payload.size()));
   std::memcpy(rec.data() + kRecordHeaderBytes, payload.data(), payload.size());
-  // One write() per record: the kernel sees the whole record at once, so a
-  // SIGKILL between records never tears one (a machine crash can still
-  // leave a prefix, which replay() truncates).
-  write_all(fd_, rec.data(), rec.size());
-  file_bytes_ += rec.size();
+  // One write per record at the end of the log: the kernel sees the whole
+  // record at once, so a SIGKILL between records never tears one (a machine
+  // crash can still leave a prefix, which replay() truncates).
+  pwrite_all(fd_, rec.data(), rec.size(), end_);
+  const Record record{key, end_, static_cast<std::uint32_t>(payload.size())};
+  end_ += rec.size();
+  return record;
 }
 
 }  // namespace wfregs::service

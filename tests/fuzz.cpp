@@ -14,6 +14,7 @@
 #include "wfregs/analysis/consensus_power.hpp"
 #include "wfregs/analysis/lint.hpp"
 #include "wfregs/consensus/check.hpp"
+#include "wfregs/consensus/protocols.hpp"
 #include "wfregs/hierarchy/hierarchy.hpp"
 #include "wfregs/core/bounded_register.hpp"
 #include "wfregs/native/runtime.hpp"
@@ -335,6 +336,21 @@ TEST(Fuzz, CompiledTypeMatchesSpecAcrossTheZoo) {
   expect_compiled_matches(zoo::port_flag_type(3));
   expect_compiled_matches(zoo::mod_counter_type(5, 2));
   expect_compiled_matches(zoo::shift_register_type(3, 2));
+}
+
+TEST(Fuzz, CompiledTypeMatchesSpecOnTheZoosLargeTypes) {
+  // The consensus zoo's biggest tables, where compiling is slowest: the
+  // 4-port, 26-invocation cas5 and the MRSW registers of cas_ids(4), the
+  // 5-port cas3 of cas(5), and a 5-port nondeterministic coin.
+  for (const auto& impl :
+       {consensus::from_cas_ids(4), consensus::from_cas(5)}) {
+    for (const ObjectDecl& decl : impl->objects()) {
+      ASSERT_TRUE(decl.spec) << impl->name();
+      SCOPED_TRACE(impl->name() + ": " + decl.spec->name());
+      expect_compiled_matches(*decl.spec);
+    }
+  }
+  expect_compiled_matches(zoo::nondet_coin_type(5));
 }
 
 TEST(Fuzz, CompiledTypeMatchesSpecOnRandomTypes) {

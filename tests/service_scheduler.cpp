@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "wfregs/consensus/protocols.hpp"
+#include "wfregs/storage/checkpoint.hpp"
 
 namespace wfregs::service {
 namespace {
@@ -366,7 +367,9 @@ TEST(JobScheduler, DeadlineLeavesAPartialCheckpointAndResubmissionResumes) {
   // from_cas_ids(4) out of core (64 KiB segments, 256 KiB budget,
   // checkpoint every 64 configs) takes well over 100 ms end to end, so a
   // 25 ms deadline reliably interrupts the first run even on a much faster
-  // machine.
+  // machine.  A slow one (a sanitizer build) may not have entered the first
+  // root by then, so phase 1's runner holds the cut back until root 0 has a
+  // durable checkpoint frame: what is banked then does not depend on speed.
   VerifyJob job;
   job.kind = JobKind::kConsensus;
   job.impl = consensus::from_cas_ids(4);
@@ -385,7 +388,28 @@ TEST(JobScheduler, DeadlineLeavesAPartialCheckpointAndResubmissionResumes) {
   {
     SchedulerOptions deadline_options = options;
     deadline_options.default_deadline = 25ms;
-    JobScheduler sched(deadline_options);  // the real default runner
+    // The real default runner, cancelled once the deadline has fired AND
+    // root 0's frontier log holds a snapshot a resume would find.
+    const JobScheduler::Runner runner =
+        [&options](const VerifyJob& j, const std::atomic<bool>& deadline) {
+          std::atomic<bool> cut{false};
+          // Declared after `cut`: the jthread stops and joins first.
+          const std::jthread watcher([&](const std::stop_token& stop) {
+            const std::string root0 = j.options.storage.checkpoint_dir +
+                                      "/root0";
+            while (!stop.stop_requested()) {
+              if (deadline.load() &&
+                  storage::FrontierCheckpoint::info(root0).present) {
+                cut.store(true);
+                return;
+              }
+              std::this_thread::sleep_for(1ms);
+            }
+          });
+          return JobScheduler::default_runner(options.explore_threads)(j,
+                                                                       cut);
+        };
+    JobScheduler sched(deadline_options, runner);
     const Submitted s = sched.submit(job);
     const Verdict v = s.result.get();
     ASSERT_FALSE(v.complete)

@@ -9,7 +9,9 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -144,6 +146,80 @@ TEST(VerdictStore, LastWriterWins) {
   VerdictStore store(path);
   EXPECT_EQ(store.size(), 1u);
   EXPECT_TRUE(*store.lookup(key_of(0)) == verdict_of(7));
+  std::remove(path.c_str());
+}
+
+TEST(VerdictStore, HitsAreByteIdenticalAfterReopen) {
+  // The index keeps offsets, not payloads: every hit is read back from the
+  // log, before and after a reopen, and must be the bytes put() encoded --
+  // a re-put key included (its index entry moves to the later record).
+  const std::string path = temp_path("bytes.log");
+  std::remove(path.c_str());
+  const auto expect_hits = [](const VerdictStore& store) {
+    for (std::uint64_t i = 0; i < 30; ++i) {
+      const std::uint64_t want = i == 3 ? 99 : i;
+      const auto got = store.lookup_encoded(key_of(i));
+      ASSERT_TRUE(got.has_value()) << i;
+      EXPECT_TRUE(*got == encode_verdict(verdict_of(want))) << i;
+      EXPECT_TRUE(*store.lookup(key_of(i)) == verdict_of(want)) << i;
+    }
+  };
+  {
+    VerdictStore store(path);
+    for (std::uint64_t i = 0; i < 30; ++i) store.put(key_of(i), verdict_of(i));
+    store.put(key_of(3), verdict_of(99));
+    expect_hits(store);
+  }
+  const VerdictStore store(path);
+  EXPECT_EQ(store.size(), 30u);
+  expect_hits(store);
+  std::remove(path.c_str());
+}
+
+TEST(VerdictStore, BytesChangedOnDiskAfterPutMakeLookupFail) {
+  // A hit re-checks magic, length, key and CRC, so a record altered under
+  // an open store is an error -- never a verdict, let alone a different
+  // one.  Flip each byte of the middle record in turn (header and payload).
+  const std::string path = temp_path("reread.log");
+  std::remove(path.c_str());
+  VerdictStore store(path);
+  store.put(key_of(0), verdict_of(0));
+  const std::size_t begin = store.file_bytes();
+  store.put(key_of(1), verdict_of(1));
+  const std::size_t end = store.file_bytes();
+  store.put(key_of(2), verdict_of(2));
+  const std::vector<char> good = read_file(path);
+  for (std::size_t at = begin; at < end; ++at) {
+    std::vector<char> bad = good;
+    bad[at] ^= 0x5A;
+    {
+      // Overwrite in place: the store's descriptor must see the change.
+      std::fstream out(path, std::ios::binary | std::ios::in | std::ios::out);
+      out.write(bad.data(), static_cast<std::streamsize>(bad.size()));
+    }
+    EXPECT_THROW(store.lookup(key_of(1)), std::runtime_error) << "byte " << at;
+    EXPECT_THROW(store.lookup_encoded(key_of(1)), std::runtime_error)
+        << "byte " << at;
+    EXPECT_TRUE(*store.lookup(key_of(0)) == verdict_of(0));
+    EXPECT_TRUE(*store.lookup(key_of(2)) == verdict_of(2));
+  }
+  // A merge of the good payload repairs the key: the damaged record fails
+  // its check, so the merge appends a fresh one and repoints the index.
+  EXPECT_TRUE(store.merge_encoded(key_of(1), encode_verdict(verdict_of(1))));
+  EXPECT_TRUE(*store.lookup(key_of(1)) == verdict_of(1));
+  std::remove(path.c_str());
+}
+
+TEST(VerdictStore, ForeignFileIsRefusedAndItsDescriptorClosed) {
+  const std::string path = temp_path("foreign.log");
+  write_file(path, {'n', 'o', 't', ' ', 'a', ' ', 'l', 'o', 'g'}, 9);
+  const auto open_fds = [] {
+    return std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
+                         std::filesystem::directory_iterator{});
+  };
+  const auto before = open_fds();
+  EXPECT_THROW(VerdictStore{path}, std::runtime_error);
+  EXPECT_EQ(open_fds(), before);
   std::remove(path.c_str());
 }
 
