@@ -40,11 +40,7 @@ reads baseline["suites"][<name>] and applies:
 
 Suites can also declare ``min_counters`` (benchmark name -> {counter:
 floor}); each listed counter must be at or above its floor.  The e15 suite
-gates the static-decision skip rate this way, and the e16_fleet suite gates
-the fleet bench's determinate floors: cross-worker cache warming
-(``warm_origins`` / ``min_origin_hits``), the bounded-admission rejection
-path (``admission_rejections``), and the warm-fleet-beats-cold-single
-verdict bit -- never wall-clock itself.  The dual ``max_counters``
+gates the static-decision skip rate this way.  The dual ``max_counters``
 (benchmark name -> {counter: ceiling}) gates counters from above; the
 e18_out_of_core suite bounds the sampled peak of resident arena bytes at
 1.2x each memory budget this way.

@@ -38,11 +38,11 @@
 // verdicts are unchanged, configuration counts shrink.  A leading `--json`
 // switches verify/check verdict output to one JSON object per job (the same
 // encoding the daemon replies with); `--server <endpoint>` routes verify /
-// submit / check / stats / shutdown to a running wfregsd or fleet
-// coordinator -- the endpoint is a Unix socket path, "unix:<path>" or
-// "tcp:<host>:<port>".  Server-side verify/submit go over the BATCH frames
-// (one frame pair for N jobs), and a "rejected" submit -- the server's
-// bounded-admission backpressure -- is retried with exponential backoff.
+// submit / check / stats / shutdown to a running wfregsd -- the endpoint
+// is a Unix socket path, "unix:<path>" or "tcp:<host>:<port>".
+// Server-side verify/submit go over the BATCH frames (one frame pair for N
+// jobs), and a "rejected" submit -- the server's bounded-admission
+// backpressure -- is retried with exponential backoff.
 // Commands that never use a flag warn instead of silently ignoring it.
 // A leading `--memory-budget N[K|M|G]` caps explorer memory and spills
 // interned configurations to disk beyond it; `--checkpoint-dir <dir>`
@@ -560,12 +560,22 @@ int cmd_store_merge(int argc, char** argv) {
       bytes.size() - service::kStoreHeaderBytes, &records);
   service::VerdictStore dst(argv[2]);
   std::size_t applied = 0;
+  std::size_t stale = 0;
   for (const service::StoreRecord& record : records) {
-    if (dst.merge_encoded(record.key, record.payload)) ++applied;
+    if (!service::verdict_version_current(record.payload.data(),
+                                          record.payload.size())) {
+      ++stale;  // an earlier verdict encoding: recomputed, never merged
+    } else if (dst.merge_encoded(record.key, record.payload)) {
+      ++applied;
+    }
   }
   std::cout << "merged " << records.size() << " records from " << argv[3]
             << " into " << argv[2] << " (" << applied << " applied, "
             << dst.size() << " total)";
+  if (stale > 0) {
+    std::cout << "; skipped " << stale
+              << " records of an earlier verdict encoding";
+  }
   if (service::kStoreHeaderBytes + consumed < bytes.size()) {
     std::cout << "; dropped torn tail of "
               << bytes.size() - service::kStoreHeaderBytes - consumed

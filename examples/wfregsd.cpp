@@ -1,25 +1,9 @@
-// wfregsd -- the verification daemon, in one of three roles:
-//
-//   daemon (default): serve framed requests on a Unix socket and/or a TCP
-//   endpoint, scheduling jobs on a local worker pool.
+// wfregsd -- the verification daemon: serve framed requests on a Unix
+// socket and/or a TCP endpoint, scheduling jobs on a local worker pool.
 //
 //     wfregsd --socket /tmp/wfregsd.sock [--listen-tcp 7461]
 //             [--store verdicts.log] [--workers N] [--explore-threads N]
 //             [--queue-capacity N] [--deadline-ms N]
-//
-//   coordinator: the fleet gateway -- shard submitted jobs across
-//   registered workers, steal work between queues, enforce bounded
-//   admission, and merge every worker's verdicts into the local store.
-//
-//     wfregsd --coordinator [--socket <path>] [--listen-tcp <port>]
-//             [--store verdicts.log] [--admission N] [--window N]
-//
-//   worker: connect to a coordinator, run assigned jobs on a local
-//   scheduler and ship results, metrics and record-log tails back.
-//
-//     wfregsd --worker --connect tcp:127.0.0.1:7461 [--name w1]
-//             [--store worker.log] [--workers N] [--explore-threads N]
-//             [--queue-capacity N] [--deadline-ms N] [--sync-ms N]
 //
 // SIGINT / SIGTERM (or a client shutdown request) drain and exit cleanly;
 // the final stats snapshot goes to stdout as JSON.
@@ -32,20 +16,15 @@
 #include <string>
 
 #include "wfregs/service/daemon.hpp"
-#include "wfregs/service/fleet.hpp"
 #include "wfregs/service/metrics.hpp"
 
 namespace {
 
 wfregs::service::Daemon* g_daemon = nullptr;
-wfregs::service::Coordinator* g_coordinator = nullptr;
-wfregs::service::Worker* g_worker = nullptr;
 
 void on_signal(int) {
   // request_stop() is a single atomic store: safe from a signal handler.
   if (g_daemon != nullptr) g_daemon->request_stop();
-  if (g_coordinator != nullptr) g_coordinator->request_stop();
-  if (g_worker != nullptr) g_worker->request_stop();
 }
 
 bool parse_int_flag(const std::string& value, long min, long* out) {
@@ -68,50 +47,27 @@ int usage() {
       << "usage: wfregsd [--socket <path>] [--listen-tcp <port>] "
          "[--store <path>]\n"
          "               [--workers N] [--explore-threads N] "
-         "[--queue-capacity N] [--deadline-ms N]\n"
-         "       wfregsd --coordinator [--socket <path>] "
-         "[--listen-tcp <port>] [--store <path>]\n"
-         "               [--admission N] [--window N]\n"
-         "       wfregsd --worker --connect <endpoint> [--name <name>] "
-         "[--store <path>]\n"
-         "               [--workers N] [--sync-ms N] ...\n";
+         "[--queue-capacity N] [--deadline-ms N]\n";
   return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  enum class Mode { kDaemon, kCoordinator, kWorker };
-  Mode mode = Mode::kDaemon;
   std::string socket_path;
   std::string listen_tcp;
   std::string store_path;
-  std::string connect;
-  std::string name;
-  long admission = 256;
-  long window = 2;
-  long sync_ms = 200;
   wfregs::service::SchedulerOptions sched;
 
   for (int k = 1; k < argc; ++k) {
     const std::string flag = argv[k];
     const std::string value = k + 1 < argc ? argv[k + 1] : "";
     long n = 0;
-    if (flag == "--coordinator") {
-      mode = Mode::kCoordinator;
-    } else if (flag == "--worker") {
-      mode = Mode::kWorker;
-    } else if (flag == "--socket" && !value.empty()) {
+    if (flag == "--socket" && !value.empty()) {
       socket_path = value;
       ++k;
     } else if (flag == "--listen-tcp" && !value.empty()) {
       listen_tcp = normalize_tcp(value);
-      ++k;
-    } else if (flag == "--connect" && !value.empty()) {
-      connect = value;
-      ++k;
-    } else if (flag == "--name" && !value.empty()) {
-      name = value;
       ++k;
     } else if (flag == "--store" && !value.empty()) {
       store_path = value;
@@ -128,78 +84,12 @@ int main(int argc, char** argv) {
     } else if (flag == "--deadline-ms" && parse_int_flag(value, 0, &n)) {
       sched.default_deadline = std::chrono::milliseconds(n);
       ++k;
-    } else if (flag == "--admission" && parse_int_flag(value, 1, &n)) {
-      admission = n;
-      ++k;
-    } else if (flag == "--window" && parse_int_flag(value, 1, &n)) {
-      window = n;
-      ++k;
-    } else if (flag == "--sync-ms" && parse_int_flag(value, 1, &n)) {
-      sync_ms = n;
-      ++k;
     } else {
       return usage();
     }
   }
 
   try {
-    if (mode == Mode::kWorker) {
-      if (connect.empty()) {
-        std::cerr << "error: --worker requires --connect\n";
-        return 2;
-      }
-      wfregs::service::WorkerOptions options;
-      options.connect = connect;
-      options.name = name;
-      options.scheduler = sched;
-      options.scheduler.store_path = store_path;
-      options.sync_interval = std::chrono::milliseconds(sync_ms);
-      wfregs::service::Worker worker(std::move(options));
-      g_worker = &worker;
-      std::signal(SIGINT, on_signal);
-      std::signal(SIGTERM, on_signal);
-      std::cerr << "wfregsd: worker connecting to " << connect << "\n";
-      const std::uint64_t sent = worker.run();
-      g_worker = nullptr;
-      std::cout << wfregs::service::metrics_to_json(
-                       worker.scheduler().metrics())
-                << "\n";
-      std::cerr << "wfregsd: worker sent " << sent << " results, bye\n";
-      return 0;
-    }
-
-    if (mode == Mode::kCoordinator) {
-      if (socket_path.empty() && listen_tcp.empty()) {
-        std::cerr << "error: --coordinator requires --socket or "
-                     "--listen-tcp\n";
-        return 2;
-      }
-      wfregs::service::CoordinatorOptions options;
-      options.listen = socket_path;
-      options.listen_tcp = listen_tcp;
-      options.store_path = store_path;
-      options.admission_capacity = static_cast<std::size_t>(admission);
-      options.max_inflight_per_worker = static_cast<std::size_t>(window);
-      wfregs::service::Coordinator coordinator(std::move(options));
-      g_coordinator = &coordinator;
-      std::signal(SIGINT, on_signal);
-      std::signal(SIGTERM, on_signal);
-      std::cerr << "wfregsd: coordinator listening";
-      if (!socket_path.empty()) std::cerr << " on " << socket_path;
-      if (coordinator.tcp_port() != 0) {
-        std::cerr << " tcp:" << coordinator.tcp_port();
-      }
-      std::cerr << "\n";
-      const std::uint64_t served = coordinator.run();
-      g_coordinator = nullptr;
-      std::cout << wfregs::service::fleet_metrics_to_json(
-                       coordinator.metrics(), coordinator.fleet_totals())
-                << "\n";
-      std::cerr << "wfregsd: coordinator served " << served
-                << " requests, bye\n";
-      return 0;
-    }
-
     if (socket_path.empty() && listen_tcp.empty()) {
       std::cerr << "error: --socket or --listen-tcp is required\n";
       return 2;

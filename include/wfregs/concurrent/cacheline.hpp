@@ -5,9 +5,9 @@
 // translation units, and libstdc++ only exposes it behind a feature-test
 // macro.  Every mainstream target this library builds on (x86-64, aarch64
 // with 64-byte L1D lines) destructively interferes at 64 bytes, so the
-// repo-wide constant is pinned here and adopted by the concurrent layer,
-// the parallel explorer's shared counters, and the service fleet's hot
-// members -- one number, one place to change it.
+// repo-wide constant is pinned here and adopted by the concurrent layer
+// and the parallel explorer's shared counters -- one number, one place to
+// change it.
 #pragma once
 
 #include <cstddef>

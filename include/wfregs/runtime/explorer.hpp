@@ -35,21 +35,20 @@
 //     expanded by whichever worker first publishes it, so its terminal
 //     check runs on that worker -- the TerminalCheck must be safe to invoke
 //     concurrently (all checks in this library capture only const data).
-//   * DETERMINISM GUARANTEE: whenever discovery runs to completion (limits
-//     not hit, and no early stop -- i.e. no violation exists or
-//     stop_at_violation is false), the outcome is BIT-IDENTICAL to
-//     explore(): a single-threaded post-pass replays the sequential DFS
-//     over the discovered DAG in its canonical edge order, so configs,
-//     edges, terminals, depth, access bounds, the wait-freedom verdict, the
-//     cycle-abort point and the identity of the first-reported violation
-//     all match the sequential explorer exactly, at any thread count.
-//   * Under an early abort (stop_at_violation with a violating terminal, or
-//     a limit hit), flags match the sequential explorer (violation present
-//     / complete == false) but the counters are nondeterministic lower
-//     bounds, and the reported violation may be a different-but-valid first
-//     violation: whichever worker's subtree surfaced one first.  Violation
-//     *presence* is still deterministic for contract-compliant checks,
-//     because failure is then a function of the configuration alone.
+//   * DETERMINISM GUARANTEE: unless a limit is hit or the run is
+//     cancelled, the outcome is BIT-IDENTICAL to explore().  When discovery
+//     runs to completion, a single-threaded post-pass replays the
+//     sequential DFS over the discovered DAG in its canonical edge order,
+//     so configs, edges, terminals, depth, access bounds, the wait-freedom
+//     verdict, the cycle-abort point and the identity of the
+//     first-reported violation all match the sequential explorer exactly,
+//     at any thread count.  When discovery stops early at a violating
+//     terminal (stop_at_violation), the root is re-run on explore() itself,
+//     which stops at the first violation in DFS order; the counters of a
+//     failing run are therefore never timing-dependent.
+//   * Under a limit hit or cancellation, complete == false as in the
+//     sequential explorer, but the counters are nondeterministic lower
+//     bounds.
 //   * Because a terminal is checked on the first path that reaches it,
 //     history-derived violation MESSAGE TEXT (not presence) may describe a
 //     different path than the sequential explorer's.
@@ -74,9 +73,9 @@
 //   * Reduced runs are deterministic at any thread count: sequential and
 //     parallel reduced explorations build the same node graph and report
 //     identical stats (the parallel post-pass replays it canonically).
-//   * Under an early abort (stop_at_violation, limit hits) reduced counters
-//     are, as in the unreduced parallel case, valid lower bounds of the
-//     completed reduced run's counters.
+//   * Under a limit hit or cancellation, reduced counters are, as in the
+//     unreduced parallel case, valid lower bounds of the completed reduced
+//     run's counters.
 #pragma once
 
 #include <atomic>

@@ -12,7 +12,7 @@ namespace wfregs::service {
 
 class Client {
  public:
-  /// Connects to a daemon or fleet coordinator; `endpoint` is any
+  /// Connects to a daemon; `endpoint` is any
   /// transport.hpp spec (a bare Unix socket path, "unix:<path>" or
   /// "tcp:<host>:<port>").  Throws std::runtime_error when the connection
   /// fails.

@@ -55,14 +55,4 @@ struct Metrics {
 /// One JSON object with every field above.
 std::string metrics_to_json(const Metrics& m);
 
-/// Parses metrics_to_json output back into a Metrics snapshot (tolerant:
-/// fields missing from the JSON stay zero).  The fleet coordinator uses
-/// this to aggregate the per-worker snapshots shipped in kWorkerSync
-/// frames into its stats reply.
-Metrics parse_metrics_json(const std::string& json);
-
-/// Field-wise sum: every counter, gauge and latency total of `m` added
-/// into `into` (fleet-wide aggregation over workers).
-void accumulate_metrics(Metrics* into, const Metrics& m);
-
 }  // namespace wfregs::service

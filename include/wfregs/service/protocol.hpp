@@ -3,7 +3,7 @@
 //
 //   frame  := len:u32 (LE, = 1 + payload size) type:u8 payload
 //
-// Request types (client -> daemon/coordinator):
+// Request types (client -> daemon):
 //   kSubmit      payload = canonical job text (print_job output)
 //   kPoll        payload = 32-hex-digit job key
 //   kStats       payload empty
@@ -12,16 +12,6 @@
 //                a JSON array of per-job submit objects, in order
 //   kBatchPoll   payload = pack_batch(32-hex keys); one reply frame
 //                carries a JSON array of per-key poll objects, in order
-//
-// Worker protocol (fleet coordinator <-> wfregsd --worker):
-//   kWorkerHello   worker -> coordinator, pack_batch({name, capacity})
-//   kWorkerWelcome coordinator -> worker, pack_batch({worker id})
-//   kAssign        coordinator -> worker, pack_batch({key hex, job text})
-//   kWorkerResult  worker -> coordinator,
-//                  pack_batch({key hex, state name, encode_verdict bytes})
-//   kWorkerSync    worker -> coordinator,
-//                  pack_batch({metrics JSON, raw record-log tail bytes});
-//                  one-way, the coordinator merges the records by JobKey
 //
 // Response types (daemon -> client):
 //   kReply    payload = one JSON value; every request gets exactly one
@@ -32,8 +22,7 @@
 //              "verdict":{...}}          (verdict only when cached)
 //   poll   -> {"key":"<hex>","status":"queued|running|done|cancelled|
 //              failed|unknown","from_cache":0|1,"verdict":{...}}
-//   stats  -> the metrics_to_json object (fleet_metrics_to_json on a
-//             coordinator)
+//   stats  -> the metrics_to_json object
 //   shutdown -> {"status":"draining"}
 //
 // "rejected" is the backpressure verdict (the EAGAIN of this protocol): the
@@ -58,12 +47,7 @@ enum class FrameType : std::uint8_t {
   kShutdown = 4,
   kBatchSubmit = 5,
   kBatchPoll = 6,
-  kWorkerHello = 0x10,
-  kWorkerResult = 0x11,
-  kWorkerSync = 0x12,
   kReply = 0x81,
-  kWorkerWelcome = 0x90,
-  kAssign = 0x91,
   kError = 0xFF,
 };
 
@@ -85,7 +69,7 @@ std::optional<Frame> read_frame(int fd);
 
 /// Packs items (arbitrary bytes, job text or binary verdicts alike) as
 ///   count:u32 (item_len:u32 item_bytes)*
-/// -- the payload format of every batch and worker frame.
+/// -- the payload format of every batch frame.
 std::string pack_batch(const std::vector<std::string>& items);
 
 /// Inverse of pack_batch; throws std::runtime_error on truncated or

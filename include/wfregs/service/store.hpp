@@ -23,7 +23,9 @@
 // crash -- SIGKILL mid-append included -- loses at most the record being
 // written and every earlier verdict survives.  Duplicate keys keep the
 // later record (last-writer-wins replay), which makes concatenated logs
-// well-defined.
+// well-defined.  A record whose payload has an earlier verdict encoding
+// version is skipped at replay (not indexed, left in the file): its job
+// misses and is recomputed, and the fresh record is the one indexed.
 //
 // Thread-safety: none here; JobScheduler serializes access under its own
 // lock.  An empty path gives an in-memory store: the same log, written to
@@ -55,8 +57,7 @@ inline constexpr std::size_t kStoreHeaderBytes = 8;
 /// Returns the number of bytes consumed; parsing stops at the first torn
 /// or corrupt record (short header, short payload, bad magic, bad CRC),
 /// exactly the recovery rule replay() applies.  This is the shared parser
-/// behind open()-time replay, the fleet's record-log tail replication and
-/// `wfregs_cli store-merge`.
+/// behind open()-time replay and `wfregs_cli store-merge`.
 std::size_t parse_store_records(const std::uint8_t* data, std::size_t size,
                                 std::vector<StoreRecord>* out);
 
@@ -89,10 +90,10 @@ class VerdictStore {
   /// writer wins).  Throws std::runtime_error on I/O failure.
   void put(const JobKey& key, const Verdict& verdict);
 
-  /// As put(), but with the already-encoded payload -- the replication
-  /// path: a record shipped from another store lands byte-identical, never
+  /// As put(), but with the already-encoded payload -- the merge path: a
+  /// record copied from another store lands byte-identical, never
   /// re-encoded.  The payload is validated by decoding before it is
-  /// committed (a corrupt frame must not poison the log).
+  /// committed (a corrupt source must not poison the log).
   void put_encoded(const JobKey& key, std::vector<std::uint8_t> payload);
 
   /// Idempotent, conflict-free merge of one record: a key we already hold
@@ -100,12 +101,10 @@ class VerdictStore {
   /// repeated syncs); a new key -- or, degenerately, a differing payload
   /// for a known key, impossible for honest content-addressed stores, or a
   /// held record that fails its read-time check -- is put_encoded.  Returns
-  /// true when the record was applied.
+  /// true when the record was applied.  A payload of an earlier verdict
+  /// encoding version is skipped (false), as replay() skips it.
   bool merge_encoded(const JobKey& key,
                      const std::vector<std::uint8_t>& payload);
-
-  /// Every currently indexed key (arbitrary order).
-  std::vector<JobKey> keys() const;
 
   /// Records currently indexed (distinct keys).
   std::size_t size() const { return records_.size(); }

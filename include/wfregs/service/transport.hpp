@@ -1,6 +1,6 @@
 // Transport for the service layer: endpoint addressing (Unix-domain or
 // TCP), an incremental frame parser, and the poll()-based event loop the
-// gateway processes (wfregsd, the fleet coordinator) serve on.
+// daemon (wfregsd) serves on.
 //
 // Endpoints are spelled as strings so every flag and API that used to take
 // a socket path keeps working:
@@ -11,7 +11,7 @@
 //   tcp:7461                   TCP, host defaults to 127.0.0.1
 //
 // TCP listeners may bind port 0 (ephemeral); local_tcp_port() reads the
-// kernel-assigned port back so tests and in-process fleets never race on a
+// kernel-assigned port back so tests and in-process daemons never race on a
 // fixed port.
 //
 // The EventLoop is the boson event_loop shape: one thread, one poll() over
@@ -93,17 +93,10 @@ bool read_available(int fd, FrameSplitter* in);
 /// id (never reused), so a handler holding a stale id simply no-ops.
 class EventLoop {
  public:
-  struct Handlers {
-    /// A listener accepted a new connection.
-    std::function<void(std::uint64_t conn)> on_open;
-    /// One complete frame arrived (called once per frame, every buffered
-    /// frame per wakeup).
-    std::function<void(std::uint64_t conn, Frame&& frame)> on_frame;
-    /// The connection closed (peer EOF, error, or malformed framing).
-    std::function<void(std::uint64_t conn)> on_close;
-  };
+  /// Called once per complete frame (every buffered frame per wakeup).
+  using FrameHandler = std::function<void(std::uint64_t conn, Frame&& frame)>;
 
-  explicit EventLoop(Handlers handlers);
+  explicit EventLoop(FrameHandler on_frame);
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -112,17 +105,9 @@ class EventLoop {
   /// Adds a listening fd (takes ownership; made nonblocking).
   void add_listener(int fd);
 
-  /// Adopts an already-established connection fd (takes ownership); the
-  /// returned id is live immediately (no on_open callback).
-  std::uint64_t adopt(int fd);
-
   /// Queues a frame on `conn`; flushed opportunistically and under
   /// POLLOUT.  Unknown ids are ignored (the connection already closed).
   void send(std::uint64_t conn, const Frame& frame);
-
-  /// Flushes what it can, then closes `conn` once the output buffer is
-  /// empty (closing connections stop being read).
-  void close_conn(std::uint64_t conn);
 
   /// One poll cycle: accept, read (dispatching every buffered frame),
   /// flush.  Returns after `timeout` when nothing happens.
@@ -132,21 +117,20 @@ class EventLoop {
   /// `deadline`); used on shutdown so final replies are not lost.
   void flush_all(std::chrono::milliseconds deadline);
 
-  std::size_t connection_count() const { return conns_.size(); }
-
  private:
   struct Conn {
     int fd = -1;
     FrameSplitter in;
     std::string out;
     std::size_t out_pos = 0;  ///< flushed prefix of `out`
-    bool closing = false;     ///< flush, then close
   };
 
+  /// Takes ownership of an accepted connection fd; returns its id.
+  std::uint64_t adopt(int fd);
   bool flush_conn(Conn* c);  ///< false = fatal write error
   void drop(std::uint64_t id);
 
-  Handlers handlers_;
+  FrameHandler on_frame_;
   std::vector<int> listeners_;
   std::map<std::uint64_t, Conn> conns_;
   std::uint64_t next_id_ = 1;

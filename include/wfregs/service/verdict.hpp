@@ -83,6 +83,11 @@ std::vector<std::uint8_t> encode_verdict(const Verdict& v);
 /// or truncated input.
 Verdict decode_verdict(const std::uint8_t* data, std::size_t size);
 
+/// True when `data` starts with this build's encoding version byte.  A
+/// payload written under an earlier version is not corrupt, only stale:
+/// the store treats it as absent, so the job is recomputed.
+bool verdict_version_current(const std::uint8_t* data, std::size_t size);
+
 /// The shared structured rendering: one JSON object with kind, verdict
 /// bits, provenance, detail and stats.
 std::string verdict_to_json(const Verdict& v);

@@ -43,10 +43,11 @@
 // part of the determinism contract.
 //
 // Early aborts (stop_at_violation, limit hits, cancellation) short-circuit
-// discovery via an atomic stop flag; the post-pass is then skipped and
-// the outcome carries partial counters.  Once the stop flag is set a
-// worker's engine may be left mid-path; no worker expands another node
-// afterwards.
+// discovery via an atomic stop flag and skip the post-pass.  A limit hit or
+// cancellation returns the partial counters; a stop at a violation re-runs
+// the root on the sequential explorer, whose first violation in DFS order
+// fixes the counters.  Once the stop flag is set a worker's engine may be
+// left mid-path; no worker expands another node afterwards.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -260,11 +261,14 @@ class ParallelExplorer {
       return out;
     }
     if (stop_.load(std::memory_order_relaxed)) {
-      // Early stop at a violating terminal: counters are partial lower
-      // bounds and the violation is whichever worker surfaced one first.
-      std::lock_guard<std::mutex> lk(violation_mu_);
-      if (!violations_.empty()) out.violation = violations_.front();
-      return out;
+      // Early stop at a violating terminal.  The partial counters depend on
+      // which worker got where first, so hand the run to the sequential
+      // explorer, which stops at the first violation in DFS order: the
+      // outcome is then explore()'s, bit for bit.
+      ExploreOutcome sequential = explore(root, options_, check_);
+      sequential.contention = out.contention;
+      sequential.phases = out.phases;
+      return sequential;
     }
     const Clock::time_point t1 = Clock::now();
     replay_and_dp(root_node, out);
@@ -603,7 +607,7 @@ class ParallelExplorer {
   std::atomic<bool> incomplete_{false};
   std::mutex violation_mu_;  ///< guards violations_ and exception_
   /// Violation texts in the order workers found them; PNode::violation
-  /// indexes this, and the first entry is an early stop's violation.
+  /// indexes this.
   std::vector<std::string> violations_;
   std::exception_ptr exception_;
 };

@@ -15,13 +15,10 @@ Daemon::Daemon(DaemonOptions options) : options_(std::move(options)) {
   if (options_.socket_path.empty() && options_.tcp.empty()) {
     throw std::runtime_error("Daemon: no listener configured");
   }
-  loop_ = std::make_unique<EventLoop>(EventLoop::Handlers{
-      /*on_open=*/{},
-      /*on_frame=*/
+  loop_ = std::make_unique<EventLoop>(
       [this](std::uint64_t conn, Frame&& frame) {
         on_frame(conn, std::move(frame));
-      },
-      /*on_close=*/{}});
+      });
   if (!options_.socket_path.empty()) {
     Endpoint ep;
     ep.kind = Endpoint::Kind::kUnix;

@@ -12,8 +12,8 @@ struct MetricsField {
   std::uint64_t Metrics::*member;
 };
 
-/// The one field list behind serialization, parsing and aggregation, in
-/// JSON output order.  A field added to Metrics is added here once.
+/// The one field list behind serialization, in JSON output order.  A field
+/// added to Metrics is added here once.
 constexpr MetricsField kMetricsFields[] = {
     {"submitted", &Metrics::submitted},
     {"cache_hits", &Metrics::cache_hits},
@@ -46,22 +46,6 @@ static_assert(sizeof(Metrics) == std::size(kMetricsFields) *
                                      sizeof(std::uint64_t),
               "every Metrics field must appear in kMetricsFields");
 
-/// Extracts the unsigned integer following `"name":` in a flat JSON
-/// object; 0 when absent.  Enough for metrics_to_json output -- the only
-/// JSON this module ever reads back.
-std::uint64_t json_field(const std::string& json, const char* name) {
-  const std::string needle = std::string("\"") + name + "\":";
-  const std::size_t at = json.find(needle);
-  if (at == std::string::npos) return 0;
-  std::uint64_t v = 0;
-  for (std::size_t k = at + needle.size(); k < json.size(); ++k) {
-    const char c = json[k];
-    if (c < '0' || c > '9') break;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return v;
-}
-
 }  // namespace
 
 std::string metrics_to_json(const Metrics& m) {
@@ -73,18 +57,6 @@ std::string metrics_to_json(const Metrics& m) {
   }
   out << '}';
   return out.str();
-}
-
-Metrics parse_metrics_json(const std::string& json) {
-  Metrics m;
-  for (const MetricsField& f : kMetricsFields) {
-    m.*f.member = json_field(json, f.name);
-  }
-  return m;
-}
-
-void accumulate_metrics(Metrics* into, const Metrics& m) {
-  for (const MetricsField& f : kMetricsFields) into->*f.member += m.*f.member;
 }
 
 }  // namespace wfregs::service

@@ -154,11 +154,15 @@ void VerdictStore::replay() {
                                             data.size() - sizeof(kHeader),
                                             &records);
   // Committed records are contiguous from the header on: index each by its
-  // offset (last writer wins on duplicate keys).
+  // offset (last writer wins on duplicate keys).  A record of an earlier
+  // verdict encoding stays in the log but is not indexed, so its job is a
+  // miss and is recomputed.
   std::uint64_t offset = sizeof(kHeader);
   for (const StoreRecord& record : records) {
     const auto len = static_cast<std::uint32_t>(record.payload.size());
-    index_record(Record{record.key, offset, len});
+    if (verdict_version_current(record.payload.data(), len)) {
+      index_record(Record{record.key, offset, len});
+    }
     offset += kRecordHeaderBytes + len;
   }
   if (committed < data.size()) {
@@ -260,14 +264,15 @@ void VerdictStore::put(const JobKey& key, const Verdict& verdict) {
 
 void VerdictStore::put_encoded(const JobKey& key,
                                std::vector<std::uint8_t> payload) {
-  // Validate before committing: a malformed payload (a corrupt replication
-  // frame, a bad merge source) must fail loudly, not poison the log.
+  // Validate before committing: a malformed payload (a bad merge source)
+  // must fail loudly, not poison the log.
   decode_verdict(payload.data(), payload.size());
   index_record(append_record(key, payload));
 }
 
 bool VerdictStore::merge_encoded(const JobKey& key,
                                  const std::vector<std::uint8_t>& payload) {
+  if (!verdict_version_current(payload.data(), payload.size())) return false;
   const std::uint32_t slot = find_slot(key);
   if (slots_[slot] != 0) {
     std::vector<std::uint8_t> held;
@@ -277,15 +282,6 @@ bool VerdictStore::merge_encoded(const JobKey& key,
   }
   put_encoded(key, payload);
   return true;
-}
-
-std::vector<JobKey> VerdictStore::keys() const {
-  std::vector<JobKey> out;
-  out.reserve(records_.size());
-  for (const std::uint32_t id : slots_) {
-    if (id != 0) out.push_back(records_[id - 1].key);
-  }
-  return out;
 }
 
 VerdictStore::Record VerdictStore::append_record(

@@ -200,7 +200,7 @@ bool read_available(int fd, FrameSplitter* in) {
   }
 }
 
-EventLoop::EventLoop(Handlers handlers) : handlers_(std::move(handlers)) {}
+EventLoop::EventLoop(FrameHandler on_frame) : on_frame_(std::move(on_frame)) {}
 
 EventLoop::~EventLoop() {
   for (const int fd : listeners_) ::close(fd);
@@ -221,7 +221,7 @@ std::uint64_t EventLoop::adopt(int fd) {
 
 void EventLoop::send(std::uint64_t conn, const Frame& frame) {
   const auto it = conns_.find(conn);
-  if (it == conns_.end() || it->second.closing) return;
+  if (it == conns_.end()) return;
   std::string& out = it->second.out;
   const std::uint32_t len =
       static_cast<std::uint32_t>(1 + frame.payload.size());
@@ -230,16 +230,6 @@ void EventLoop::send(std::uint64_t conn, const Frame& frame) {
   }
   out.push_back(static_cast<char>(frame.type));
   out.append(frame.payload);
-}
-
-void EventLoop::close_conn(std::uint64_t conn) {
-  const auto it = conns_.find(conn);
-  if (it == conns_.end()) return;
-  it->second.closing = true;
-  if (!flush_conn(&it->second) ||
-      it->second.out_pos == it->second.out.size()) {
-    drop(conn);
-  }
 }
 
 bool EventLoop::flush_conn(Conn* c) {
@@ -276,7 +266,7 @@ void EventLoop::step(std::chrono::milliseconds timeout) {
     pfds.push_back({fd, POLLIN, 0});
   }
   for (const auto& [id, c] : conns_) {
-    short events = c.closing ? 0 : POLLIN;
+    short events = POLLIN;
     if (c.out_pos < c.out.size()) events |= POLLOUT;
     pfds.push_back({c.fd, events, 0});
     ids.push_back(id);
@@ -297,16 +287,14 @@ void EventLoop::step(std::chrono::milliseconds timeout) {
     for (;;) {
       const int fd = ::accept(listeners_[k], nullptr, nullptr);
       if (fd < 0) break;  // EAGAIN, EINTR, transient failure: next step
-      const std::uint64_t id = adopt(fd);
-      if (handlers_.on_open) handlers_.on_open(id);
+      adopt(fd);
     }
   }
 
   for (std::size_t k = 0; k < ids.size(); ++k) {
     const pollfd& p = pfds[listeners_.size() + k];
     const std::uint64_t id = ids[k];
-    auto it = conns_.find(id);
-    if (it == conns_.end()) continue;  // closed by an earlier handler
+    const auto it = conns_.find(id);
 
     if (p.revents & (POLLIN | POLLHUP | POLLERR)) {
       const bool open = read_available(it->second.fd, &it->second.in);
@@ -322,30 +310,18 @@ void EventLoop::step(std::chrono::milliseconds timeout) {
           framing_ok = false;  // malformed length prefix
         }
         if (!framing_ok || !have) break;
-        if (handlers_.on_frame) handlers_.on_frame(id, std::move(frame));
-        it = conns_.find(id);  // the handler may have closed the conn
-        if (it == conns_.end()) break;
+        on_frame_(id, std::move(frame));
       }
-      if (it == conns_.end()) continue;
       if (!open || !framing_ok) {
         // Peer EOF / error / protocol violation: flush what we owe (error
         // replies included), then drop.
         flush_conn(&it->second);
         drop(id);
-        if (handlers_.on_close) handlers_.on_close(id);
         continue;
       }
     }
 
-    if (!flush_conn(&it->second)) {
-      drop(id);
-      if (handlers_.on_close) handlers_.on_close(id);
-      continue;
-    }
-    if (it->second.closing &&
-        it->second.out_pos == it->second.out.size()) {
-      drop(id);
-    }
+    if (!flush_conn(&it->second)) drop(id);
   }
 }
 

@@ -59,8 +59,12 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-// Version 2 added the provenance byte (after the flags byte).
-constexpr std::uint8_t kVersion = 2;
+// Version 2 added the provenance byte (after the flags byte).  Version 3
+// marks failing verdicts whose counters are the sequential explorer's at
+// every thread count; a version-2 record of a failing multi-threaded job
+// may hold timing-dependent ones, so it must not be served: the store skips
+// records of any other version (verdict_version_current).
+constexpr std::uint8_t kVersion = 3;
 
 void json_escape_into(std::ostream& out, const std::string& s) {
   for (const char ch : s) {
@@ -137,6 +141,10 @@ std::vector<std::uint8_t> encode_verdict(const Verdict& v) {
     for (const std::size_t a : per) push_u64(out, a);
   }
   return out;
+}
+
+bool verdict_version_current(const std::uint8_t* data, std::size_t size) {
+  return size > 0 && data[0] == kVersion;
 }
 
 Verdict decode_verdict(const std::uint8_t* data, std::size_t size) {

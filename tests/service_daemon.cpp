@@ -1,14 +1,18 @@
 // End-to-end tests for the framed protocol, the in-process daemon +
-// client lifecycle, and verdict-store survival across daemon restarts.
+// client lifecycle, verdict-store survival across daemon restarts, and the
+// transport primitives (endpoint specs, frame reassembly) they ride on.
 #include "wfregs/service/daemon.hpp"
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "wfregs/consensus/protocols.hpp"
 #include "wfregs/service/client.hpp"
@@ -260,6 +264,90 @@ TEST(Daemon, BatchSubmitAndPollRoundTripInOrder) {
   EXPECT_FALSE(contains(polled, "\"status\":\"queued\"")) << polled;
   EXPECT_FALSE(contains(polled, "\"status\":\"running\"")) << polled;
   client.shutdown();
+}
+
+TEST(Daemon, RetiredFrameTypesGetAnErrorAndTheConnectionKeepsServing) {
+  // Type bytes that once named worker frames (0x10-0x12 requests, 0x90 and
+  // 0x91 replies) are no longer part of the protocol.  Each must get a
+  // kError reply -- not a crash, a hang or a dropped connection -- and a
+  // valid submit on the same connection must still be served.
+  const std::string sock = socket_path("retired");
+  DaemonFixture fixture(sock);
+  const int fd = connect_endpoint(parse_endpoint(sock));
+  const std::string text = job_text(consensus::from_test_and_set());
+  for (const std::uint8_t type : {0x10, 0x11, 0x12, 0x90, 0x91}) {
+    write_frame(fd, Frame{static_cast<FrameType>(type),
+                          pack_batch({"0123456789abcdef0123456789abcdef",
+                                      text})});
+    const auto reply = read_frame(fd);
+    ASSERT_TRUE(reply.has_value()) << "no reply to type " << int{type};
+    EXPECT_EQ(reply->type, FrameType::kError) << "type " << int{type};
+  }
+  write_frame(fd, Frame{FrameType::kSubmit, text});
+  const auto reply = read_frame(fd);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, FrameType::kReply);
+  EXPECT_TRUE(contains(reply->payload, "\"status\":\"queued\""))
+      << reply->payload;
+  ::close(fd);
+}
+
+TEST(Transport, EndpointSpecsParseBothFamilies) {
+  Endpoint ep = parse_endpoint("/tmp/x.sock");
+  EXPECT_EQ(ep.kind, Endpoint::Kind::kUnix);
+  EXPECT_EQ(ep.path, "/tmp/x.sock");
+  EXPECT_EQ(endpoint_to_string(ep), "unix:/tmp/x.sock");
+  EXPECT_EQ(parse_endpoint("unix:/a/b").path, "/a/b");
+
+  ep = parse_endpoint("tcp:7461");
+  EXPECT_EQ(ep.kind, Endpoint::Kind::kTcp);
+  EXPECT_EQ(ep.host, "127.0.0.1");
+  EXPECT_EQ(ep.port, 7461);
+  ep = parse_endpoint("tcp:10.1.2.3:80");
+  EXPECT_EQ(ep.host, "10.1.2.3");
+  EXPECT_EQ(ep.port, 80);
+  EXPECT_EQ(endpoint_to_string(ep), "tcp:10.1.2.3:80");
+
+  EXPECT_THROW(parse_endpoint(""), std::runtime_error);
+  EXPECT_THROW(parse_endpoint("tcp:"), std::runtime_error);
+  EXPECT_THROW(parse_endpoint("tcp:notaport"), std::runtime_error);
+  EXPECT_THROW(parse_endpoint("tcp:127.0.0.1:99999"), std::runtime_error);
+}
+
+TEST(Transport, FrameSplitterReassemblesByteByByte) {
+  // Three frames serialized back to back, fed one byte at a time: the
+  // splitter must yield exactly the three frames, in order, regardless of
+  // how the stream fragments.
+  const std::vector<Frame> frames = {
+      Frame{FrameType::kSubmit, "job text"},
+      Frame{FrameType::kStats, ""},
+      Frame{FrameType::kReply, std::string(10000, 'v')}};
+  std::string stream;
+  for (const Frame& f : frames) {
+    const std::uint32_t len = static_cast<std::uint32_t>(1 + f.payload.size());
+    for (int k = 0; k < 4; ++k) {
+      stream.push_back(static_cast<char>((len >> (8 * k)) & 0xFF));
+    }
+    stream.push_back(static_cast<char>(f.type));
+    stream.append(f.payload);
+  }
+  FrameSplitter splitter;
+  std::vector<Frame> got;
+  Frame frame;
+  for (const char c : stream) {
+    splitter.feed(&c, 1);
+    while (splitter.next(&frame)) got.push_back(frame);
+  }
+  ASSERT_EQ(got.size(), frames.size());
+  for (std::size_t k = 0; k < frames.size(); ++k) {
+    EXPECT_EQ(got[k].type, frames[k].type);
+    EXPECT_EQ(got[k].payload, frames[k].payload);
+  }
+  EXPECT_EQ(splitter.buffered(), 0u);
+  // A zero-length prefix is a protocol violation, not a hang.
+  const char bad[5] = {0, 0, 0, 0, 0};
+  splitter.feed(bad, 5);
+  EXPECT_THROW(splitter.next(&frame), std::runtime_error);
 }
 
 }  // namespace

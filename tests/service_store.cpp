@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "wfregs/storage/record_log.hpp"
+
 namespace wfregs::service {
 namespace {
 
@@ -56,6 +58,19 @@ void write_file(const std::string& path, const std::vector<char>& bytes,
                 std::size_t len) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(len));
+}
+
+/// Rewrites the record at byte `offset` of a log image as an earlier
+/// encoding would have left it: payload version byte 2, CRC recomputed, so
+/// the record is intact but stale.
+void downgrade_record(std::vector<char>* log, std::size_t offset) {
+  auto* rec = reinterpret_cast<std::uint8_t*>(log->data() + offset);
+  std::uint32_t len = 0;
+  for (int k = 0; k < 4; ++k) len |= std::uint32_t{rec[4 + k]} << (8 * k);
+  std::uint8_t* payload = rec + 28;  // magic, len, key_hi, key_lo, crc
+  payload[0] = 2;
+  const std::uint32_t crc = storage::crc32(payload, len);
+  for (int k = 0; k < 4; ++k) rec[24 + k] = (crc >> (8 * k)) & 0xFF;
 }
 
 TEST(VerdictStore, InMemoryRoundTrip) {
@@ -146,6 +161,36 @@ TEST(VerdictStore, LastWriterWins) {
   VerdictStore store(path);
   EXPECT_EQ(store.size(), 1u);
   EXPECT_TRUE(*store.lookup(key_of(0)) == verdict_of(7));
+  std::remove(path.c_str());
+}
+
+TEST(VerdictStore, EarlierEncodingRecordsAreMissesNotErrors) {
+  // A log written before a verdict-encoding bump: its records are intact
+  // but stale.  Reopening must index only the current ones, a lookup of a
+  // stale key must miss (so the job is recomputed) rather than throw, and
+  // the fresh put must win across a further reopen.
+  const std::string path = temp_path("stale.log");
+  std::remove(path.c_str());
+  {
+    VerdictStore store(path);
+    store.put(key_of(0), verdict_of(0));
+    store.put(key_of(1), verdict_of(1));
+  }
+  std::vector<char> bytes = read_file(path);
+  downgrade_record(&bytes, kStoreHeaderBytes);  // key 0's record
+  write_file(path, bytes, bytes.size());
+  {
+    VerdictStore store(path);
+    EXPECT_EQ(store.size(), 1u);
+    EXPECT_EQ(store.recovered_drop(), 0u);  // skipped, not truncated away
+    EXPECT_FALSE(store.lookup(key_of(0)).has_value());
+    EXPECT_FALSE(store.lookup_encoded(key_of(0)).has_value());
+    EXPECT_TRUE(*store.lookup(key_of(1)) == verdict_of(1));
+    store.put(key_of(0), verdict_of(0));
+  }
+  VerdictStore store(path);
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_TRUE(*store.lookup(key_of(0)) == verdict_of(0));
   std::remove(path.c_str());
 }
 
@@ -323,9 +368,8 @@ TEST(VerdictStore, SigkillMidAppendRecoversEveryCommittedRecord) {
   std::remove(path.c_str());
 }
 
-/// Merges every committed record of the log at `src` into `dst`, the
-/// fleet's replication primitive driven offline (what `wfregs_cli
-/// store-merge` does).  Returns the number of records applied.
+/// Merges every committed record of the log at `src` into `dst` (what
+/// `wfregs_cli store-merge` does).  Returns the number of records applied.
 std::size_t merge_log_into(VerdictStore* dst, const std::string& src) {
   const std::vector<char> bytes = read_file(src);
   const auto* data = reinterpret_cast<const std::uint8_t*>(bytes.data());
@@ -429,6 +473,17 @@ TEST(VerdictStoreMerge, TornTailOnOneSideDropsOnlyTheTornRecord) {
     EXPECT_EQ(*got, encode_verdict(verdict_of(i))) << "key " << i;
   }
   for (const auto* p : {&a, &b, &merged}) std::remove(p->c_str());
+}
+
+TEST(VerdictStoreMerge, EarlierEncodingRecordsAreSkippedNotFatal) {
+  VerdictStore dst("");
+  std::vector<std::uint8_t> stale = encode_verdict(verdict_of(0));
+  stale[0] = 2;
+  EXPECT_FALSE(dst.merge_encoded(key_of(0), stale));
+  EXPECT_EQ(dst.size(), 0u);
+  // The current record of the same key still merges afterwards.
+  EXPECT_TRUE(dst.merge_encoded(key_of(0), encode_verdict(verdict_of(0))));
+  EXPECT_TRUE(*dst.lookup(key_of(0)) == verdict_of(0));
 }
 
 TEST(VerdictStoreMerge, PutEncodedRejectsMalformedPayloads) {
