@@ -1,11 +1,12 @@
-// E11 -- partial-order + symmetry reduction: the sleep-set / canonicalized
-// explorer (runtime/reduction.hpp) vs. the plain exhaustive pass, on a zoo
-// of 3-process protocol workloads.
+// E11 -- process-symmetry reduction: the canonicalizing explorer
+// (runtime/reduction.hpp) vs. the plain exhaustive pass, on a zoo of
+// 3-process protocol workloads.
 //
-// Every workload is explored under reduction = none / sleep / sleep+symmetry
-// with identical verdicts (checked here: a mismatch fails the benchmark run
+// Every workload is explored under reduction = none / sleep+symmetry with
+// identical verdicts (checked here: a mismatch fails the benchmark run
 // outright) -- only the number of visited configurations and the wall-clock
-// differ.  The `configs` counter is DETERMINISTIC for a given workload and
+// differ.  (`sleep` explores exactly like none, so it has no rows.)  The
+// `configs` counter is DETERMINISTIC for a given workload and
 // mode, which is what lets CI gate on bench/baseline.json: any >10% growth
 // of a reduced count is a reduction regression, not noise (see
 // bench/check_bench_regression.py).  The same script asserts the headline
@@ -35,7 +36,7 @@ using namespace wfregs;
 /// Fully symmetric hammer: every process runs the SAME shared program (ops
 /// identical invocations, responses folded into the result) on its own port
 /// of one shared object.  Shared ProgramRef + port-oblivious object = the
-/// whole of S_n is a system automorphism, the regime sleep+symmetry is for.
+/// whole of S_n is a system automorphism, the regime symmetry is for.
 Engine symmetric_hammer(std::shared_ptr<const TypeSpec> t, InvId inv,
                         int ops) {
   const int n = t->ports();
@@ -112,7 +113,6 @@ struct Mode {
 
 constexpr Mode kModes[] = {
     {"none", Reduction::kNone},
-    {"sleep", Reduction::kSleep},
     {"sleep+symmetry", Reduction::kSleepSymmetry},
 };
 

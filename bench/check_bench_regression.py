@@ -11,11 +11,13 @@ wall-clock, which is noise on shared CI runners):
 1. Per-benchmark regression: a run whose configs count exceeds the
    checked-in baseline by more than ``tolerance`` (10%) fails.  Counts are
    exact for a given (workload, reduction mode), so any growth means the
-   reduction layer lost pruning power -- the 10% headroom only absorbs
-   intentional small workload tweaks that forgot a baseline refresh.
+   symmetry reduction lost pruning power -- the 10% headroom only absorbs
+   intentional small workload tweaks that forgot a baseline refresh.  The
+   bench has a none row and a sleep+symmetry row per workload; ``sleep``
+   explores exactly like none, so it has no rows.
 2. Aggregate headline: summed over the protocol zoo, reduction=none must
    visit at least ``min_aggregate_ratio`` (3x) more configurations than
-   reduction=sleep+symmetry.
+   reduction=sleep+symmetry (symmetry alone).
 
 Improvements (counts below baseline) pass with a note suggesting a baseline
 refresh; benchmarks missing from the baseline warn but do not fail, so a new

@@ -33,9 +33,11 @@
 // explorer on N worker threads (0 = hardware concurrency, 1 = sequential).
 // A leading `--static-precheck` runs the wfregs-lint discipline passes on
 // every implementation before exploring it, failing fast on violations.
-// A leading `--reduction none|sleep|sleep+symmetry` applies partial-order /
-// symmetry reduction to every exploration (see runtime/reduction.hpp);
-// verdicts are unchanged, configuration counts shrink.  A leading `--json`
+// A leading `--reduction none|sleep|sleep+symmetry` picks the reduction of
+// every exploration (see runtime/reduction.hpp): `sleep+symmetry` explores
+// one configuration per process-symmetry orbit, so verdicts are unchanged
+// and configuration counts shrink; `sleep` explores exactly like `none` and
+// is kept only as a job-text spelling.  A leading `--json`
 // switches verify/check verdict output to one JSON object per job (the same
 // encoding the daemon replies with); `--server <endpoint>` routes verify /
 // submit / check / stats / shutdown to a running wfregsd -- the endpoint
@@ -683,7 +685,8 @@ int main(int argc, char** argv) {
         g_reduction = Reduction::kSleepSymmetry;
       } else {
         std::cerr
-            << "error: --reduction wants none|sleep|sleep+symmetry\n";
+            << "error: --reduction wants none|sleep|sleep+symmetry "
+               "(sleep explores like none)\n";
         return kExitUsage;
       }
       g_reduction_set = true;
@@ -742,7 +745,10 @@ int main(int argc, char** argv) {
                  "[--memory-budget N[K|M|G]] [--checkpoint-dir DIR] "
                  "zoo|print|classify|oneuse|hierarchy|eliminate|make-job|"
                  "verify|submit|check|stats|shutdown|store-merge|"
-                 "checkpoint-info ...\n";
+                 "checkpoint-info ...\n"
+                 "  --reduction MODE: none, sleep+symmetry (one configuration "
+                 "per process-symmetry orbit), or sleep (explores like none; "
+                 "kept as a job-text spelling)\n";
     return kExitUsage;
   }
   const std::string cmd = argv[1];

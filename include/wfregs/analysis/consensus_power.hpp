@@ -29,9 +29,7 @@
 //     the 0-valent and 1-valent successors into configurations
 //     indistinguishable to some solo finisher.  Registers themselves satisfy
 //     commute-or-overwrite, so the argument tolerates them.  The classifier
-//     seeds the per-state table from CompiledType's precomputed pairwise
-//     commutation matrix (a commutes-everywhere pair is kCommute in every
-//     state) and only inspects delta for the residue.
+//     fills the per-state table from delta, one state at a time.
 //
 //   * kTrivialObliviousUpper / kTrivialGeneralUpper -- the Section 5
 //     triviality argument: a trivial type's port-j response sequence is a

@@ -79,11 +79,6 @@ class Engine {
   /// The base object p's pending access targets.  Throws when p is done.
   ObjectId pending_object(ProcId p) const;
 
-  /// Port / invocation of p's pending base access (for the reduction
-  /// layer's independence queries).  Throws when p is done.
-  PortId pending_port(ProcId p) const;
-  InvId pending_inv(ProcId p) const;
-
   struct CommitInfo {
     ObjectId object = -1;
     PortId port = -1;

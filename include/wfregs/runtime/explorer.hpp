@@ -57,19 +57,17 @@
 // changing any verdict (see reduction.hpp for the machinery and the
 // soundness argument):
 //
-//   * kNone explores the plain configuration graph: no sleep mask, no
-//     renaming.
-//   * kSleep applies sleep-set partial-order reduction: nodes become
-//     (configuration, sleep mask) pairs, memoized and cycle-checked
-//     exactly; wait-freedom, violation presence, depth and access bounds
-//     are preserved, while configs / edges / terminals count the REDUCED
-//     node graph (that shrinkage is the point -- the counters of a reduced
-//     run are comparable only to other runs at the same reduction).
-//   * kSleepSymmetry additionally canonicalizes every node to the minimal
-//     representative of its process-symmetry orbit.  The engine a
-//     TerminalCheck sees is then a renamed -- but real and reachable --
-//     execution, so checks must not name specific processes (all checks in
-//     this library are renaming-invariant).
+//   * kNone explores the plain configuration graph, with no renaming.
+//   * kSleep is a job-text spelling kept for stored jobs: it explores
+//     exactly like kNone, bit for bit.
+//   * kSleepSymmetry canonicalizes every node to the minimal representative
+//     of its process-symmetry orbit.  Wait-freedom, violation presence,
+//     depth and access bounds are preserved, while configs / edges /
+//     terminals count the REDUCED node graph (that shrinkage is the point
+//     -- its counters are comparable only to other symmetry-reduced runs).
+//     The engine a TerminalCheck sees is a renamed -- but real and
+//     reachable -- execution, so checks must not name specific processes
+//     (all checks in this library are renaming-invariant).
 //   * Reduced runs are deterministic at any thread count: sequential and
 //     parallel reduced explorations build the same node graph and report
 //     identical stats (the parallel post-pass replays it canonically).
@@ -179,11 +177,6 @@ using TerminalCheck =
 struct ExploreOptions {
   ExploreLimits limits;
   Reduction reduction = Reduction::kNone;
-  /// Optional refined independence table (e.g. from
-  /// analysis::refined_independence); must cover every base object of the
-  /// explored system and outlive the exploration.  nullptr = the explorer
-  /// builds the TypeSpec baseline itself.  Ignored under kNone.
-  const IndependenceTable* independence = nullptr;
   /// Out-of-core storage: memory budget + spill directory for the interned
   /// configuration store, and crash-safe checkpoint/resume of the
   /// exploration frontier (see wfregs/storage/options.hpp).  When
@@ -200,7 +193,7 @@ ExploreOutcome explore(const Engine& root, const ExploreLimits& limits = {},
                        const TerminalCheck& check = {});
 
 /// As above, with a reduction mode and storage settings.
-/// options.reduction == kNone is bit-identical to
+/// options.reduction == kNone (or kSleep) is bit-identical to
 /// explore(root, options.limits, check).
 ExploreOutcome explore(const Engine& root, const ExploreOptions& options,
                        const TerminalCheck& check = {});
@@ -215,11 +208,10 @@ ExploreOutcome explore_parallel(const Engine& root,
                                 const ExploreLimits& limits = {},
                                 int n_threads = 0);
 
-/// As above, with a reduction mode: sleep-set pruning is applied as a
-/// claim-time filter on the work-stealing frontier, and node identities are
-/// canonicalized before claiming, so the reduced node graph -- and, when
-/// discovery completes, every counter -- matches the sequential reduced
-/// explorer at any thread count.
+/// As above, with a reduction mode: node identities are canonicalized
+/// before claiming, so the reduced node graph -- and, when discovery
+/// completes, every counter -- matches the sequential reduced explorer at
+/// any thread count.
 ExploreOutcome explore_parallel(const Engine& root, const TerminalCheck& check,
                                 const ExploreOptions& options,
                                 int n_threads = 0);

@@ -56,8 +56,9 @@ struct SchedulerOptions {
   int explore_threads = 1;
   /// Default wall-clock deadline per job; zero = none.
   std::chrono::milliseconds default_deadline{0};
-  /// Finished-but-uncacheable job statuses (cancelled / failed / incomplete
-  /// verdicts) kept for poll(); older entries are evicted.
+  /// Finished job statuses kept for poll(): uncacheable outcomes
+  /// (cancelled / failed / incomplete verdicts) and a verdict-less mark for
+  /// each verdict computed into the store; older entries are evicted.
   std::size_t status_history = 1024;
   /// Out-of-core template applied to every computed job.  When
   /// storage.checkpoint_dir is non-empty, each job runs with these storage
@@ -82,6 +83,9 @@ const char* job_state_name(JobState s);
 
 struct JobStatus {
   JobState state = JobState::kQueued;
+  /// The key's latest submission was answered from the store rather than
+  /// computed.  A computed verdict reads false until its status-history
+  /// entry is evicted.
   bool from_cache = false;
   Verdict verdict;  ///< meaningful for kDone / kCancelled / kFailed
 };
@@ -125,8 +129,9 @@ class JobScheduler {
   /// Pure cache probe (no admission, no metrics beyond the probe).
   std::optional<Verdict> lookup(const JobKey& key) const;
 
-  /// Status of a known key: in-flight state, cached verdict, or recent
-  /// uncacheable outcome.  nullopt = never seen (or evicted).
+  /// Status of a known key: in-flight state, recent uncacheable outcome, or
+  /// stored verdict (from_cache says whether the latest submission computed
+  /// it).  nullopt = never seen (or evicted).
   std::optional<JobStatus> poll(const JobKey& key) const;
 
   Metrics metrics() const;
@@ -151,8 +156,10 @@ class JobScheduler {
   Submitted admit(const VerifyJob& job, bool reject_when_full);
   void finish(const std::shared_ptr<InFlight>& job, Verdict verdict,
               JobState state, concurrent::StatsSnapshot::Writer& w);
+  /// Appends to recent_; `verdict` == nullptr marks a verdict computed
+  /// into the store.
   void remember_status(const JobKey& key, JobState state,
-                       const Verdict& verdict,
+                       const Verdict* verdict,
                        concurrent::StatsSnapshot::Writer& w);
 
   SchedulerOptions options_;
@@ -169,9 +176,15 @@ class JobScheduler {
   std::deque<std::shared_ptr<InFlight>> queue_;
   /// Key -> queued/running job, the coalescing map.
   std::vector<std::shared_ptr<InFlight>> inflight_;
-  /// Recently finished uncacheable statuses, newest last (bounded by
-  /// options_.status_history; evictions counted).
-  std::deque<std::pair<JobKey, JobStatus>> recent_;
+  /// Recently finished statuses, newest last (bounded by
+  /// options_.status_history; evictions counted).  A stored entry keeps no
+  /// verdict: poll() reads it from store_.
+  struct Recent {
+    JobKey key;
+    JobStatus status;
+    bool stored = false;
+  };
+  std::deque<Recent> recent_;
 
   /// Admission-side counters only (submitted / hits / misses / coalesced /
   /// rejected / lookup latency): inherently serialized under mu_ anyway, so

@@ -43,13 +43,12 @@ namespace wfregs::storage {
 
 /// One suspended DFS frame: the node's interned id, where its child
 /// enumeration stands (steps[step_idx], nondeterministic choice `choice`),
-/// its post-canonicalization sleep mask, and the partial longest-path DP
-/// accumulated from the children already explored.
+/// and the partial longest-path DP accumulated from the children already
+/// explored.
 struct FrameSnap {
   std::uint32_t id = 0;
   std::uint32_t step_idx = 0;
   std::int32_t choice = 0;
-  std::uint64_t sleep = 0;
   std::int32_t depth_from = 0;
   std::vector<std::uint64_t> acc_from;
   std::vector<std::uint64_t> inv_from;

@@ -5,15 +5,9 @@
 // explorer's hot loop, which performs one delta lookup per examined edge.
 // CompiledType flattens the whole table into a single contiguous Transition
 // array addressed through a dense offset index, so a lookup is two array
-// reads with no pointer chasing, and precomputes the structural facts the
-// runtime layers ask for repeatedly:
-//
-//   * totality / determinism / obliviousness flags (Section 2.1 predicates),
-//     evaluated once instead of per query;
-//   * the pairwise commutation matrix -- "(port a, invocation i1) commutes
-//     with (port b, invocation i2) in EVERY state" -- which the reduction
-//     layer's IndependenceTable consumes directly instead of re-deriving
-//     outcome sets from delta on every table build.
+// reads with no pointer chasing, and precomputes the totality /
+// determinism / obliviousness flags (Section 2.1 predicates) once instead of
+// per query.  Compiling is linear in the size of the table.
 //
 // A CompiledType is immutable and self-contained (it does not reference the
 // TypeSpec it was compiled from), so System can share one instance across
@@ -86,29 +80,6 @@ class CompiledType {
   bool is_deterministic() const { return deterministic_; }
   bool is_oblivious() const { return oblivious_; }
 
-  // ---- precomputed pairwise commutation ----------------------------------
-
-  /// True when the accesses (port a, invocation i1) and (port b, invocation
-  /// i2) commute in EVERY state: executing them in either order yields the
-  /// same set of (final state, response to i1, response to i2) outcomes.
-  /// This is exactly the conjunction over states of
-  /// accesses_commute_at(spec, q, a, i1, b, i2) from the reduction layer,
-  /// precomputed at compile() time so IndependenceTable::build is a copy.
-  bool commutes_everywhere(PortId a, InvId i1, PortId b, InvId i2) const {
-    const std::size_t invs = static_cast<std::size_t>(num_invocations_);
-    const std::size_t idx =
-        ((static_cast<std::size_t>(a) * invs + static_cast<std::size_t>(i1)) *
-             static_cast<std::size_t>(ports_) +
-         static_cast<std::size_t>(b)) *
-            invs +
-        static_cast<std::size_t>(i2);
-    return commute_[idx] != 0;
-  }
-
-  /// The raw commutation matrix, laid out [(a*I + i1)*P*I + b*I + i2] --
-  /// the same layout IndependenceTable uses per object.
-  std::span<const char> commutation_matrix() const { return commute_; }
-
  private:
   std::size_t cell(StateId q, PortId p, InvId i) const noexcept {
     // Same layout as TypeSpec::cell: (q * P + p) * I + i.
@@ -132,8 +103,6 @@ class CompiledType {
   /// offsets_[c] .. offsets_[c+1]: the slice of transitions_ for cell c;
   /// one extra sentinel entry at the end.
   std::vector<std::uint32_t> offsets_;
-  /// Pairwise "commutes in every state" bits (see commutes_everywhere).
-  std::vector<char> commute_;
 };
 
 }  // namespace wfregs

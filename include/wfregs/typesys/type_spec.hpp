@@ -92,9 +92,9 @@ class TypeSpec {
   Transition delta_det(StateId q, PortId p, InvId i) const;
 
   /// Flattens this spec into the execution-core representation: one
-  /// contiguous transition array with an offset index, precomputed
-  /// structural flags and the pairwise commutation matrix (see
-  /// compiled_type.hpp).  The result is self-contained and immutable.
+  /// contiguous transition array with an offset index and precomputed
+  /// structural flags (see compiled_type.hpp).  The result is
+  /// self-contained and immutable.
   CompiledType compile() const;
 
   // ---- structural predicates (Section 2.1) -------------------------------

@@ -36,8 +36,8 @@ std::size_t coo_size(const TypeSpec& t) {
 
 // ---- classifier side (CompiledType + the Section 5 deciders) ---------------
 
-/// The Herlihy critical-state table.  Seeds kCommute from the precomputed
-/// pairwise commutation matrix and inspects delta only for the residue.
+/// The Herlihy critical-state table: the disposition of every cross-port
+/// pair at every state, read off delta.
 std::optional<CommuteOverwriteCert> build_commute_overwrite(
     const TypeSpec& t, const CompiledType& c) {
   if (!c.is_deterministic()) return std::nullopt;
@@ -47,30 +47,24 @@ std::optional<CommuteOverwriteCert> build_commute_overwrite(
     for (PortId b = a + 1; b < c.ports(); ++b) {
       for (InvId i1 = 0; i1 < c.num_invocations(); ++i1) {
         for (InvId i2 = 0; i2 < c.num_invocations(); ++i2) {
-          const bool everywhere = c.commutes_everywhere(a, i1, b, i2);
           for (StateId q = 0; q < c.num_states(); ++q) {
-            std::uint8_t d;
-            if (everywhere) {
-              d = static_cast<std::uint8_t>(PairDisposition::kCommute);
+            const Transition t1 = c.delta_unchecked(q, a, i1)[0];
+            const Transition t2 = c.delta_unchecked(q, b, i2)[0];
+            const Transition t12 = c.delta_unchecked(t1.next, b, i2)[0];
+            const Transition t21 = c.delta_unchecked(t2.next, a, i1)[0];
+            PairDisposition d;
+            if (t12.next == t21.next && t1.resp == t21.resp &&
+                t2.resp == t12.resp) {
+              d = PairDisposition::kCommute;
+            } else if (t12 == t2) {
+              d = PairDisposition::kSecondOverwritesFirst;
+            } else if (t21 == t1) {
+              d = PairDisposition::kFirstOverwritesSecond;
             } else {
-              const Transition t1 = c.delta_unchecked(q, a, i1)[0];
-              const Transition t2 = c.delta_unchecked(q, b, i2)[0];
-              const Transition t12 = c.delta_unchecked(t1.next, b, i2)[0];
-              const Transition t21 = c.delta_unchecked(t2.next, a, i1)[0];
-              if (t12.next == t21.next && t1.resp == t21.resp &&
-                  t2.resp == t12.resp) {
-                d = static_cast<std::uint8_t>(PairDisposition::kCommute);
-              } else if (t12 == t2) {
-                d = static_cast<std::uint8_t>(
-                    PairDisposition::kSecondOverwritesFirst);
-              } else if (t21 == t1) {
-                d = static_cast<std::uint8_t>(
-                    PairDisposition::kFirstOverwritesSecond);
-              } else {
-                return std::nullopt;  // the pair interferes at q
-              }
+              return std::nullopt;  // the pair interferes at q
             }
-            cert.dispositions[coo_index(t, q, a, i1, b, i2)] = d;
+            cert.dispositions[coo_index(t, q, a, i1, b, i2)] =
+                static_cast<std::uint8_t>(d);
           }
         }
       }

@@ -270,26 +270,6 @@ ObjectId Engine::pending_object(ProcId p) const {
   return proc.pending->handle.gid;
 }
 
-PortId Engine::pending_port(ProcId p) const {
-  check_proc(p);
-  const auto& proc = procs_[static_cast<std::size_t>(p)];
-  if (!proc.pending) {
-    throw std::logic_error("Engine::pending_port: process " +
-                           std::to_string(p) + " has no pending access");
-  }
-  return proc.pending->handle.port;
-}
-
-InvId Engine::pending_inv(ProcId p) const {
-  check_proc(p);
-  const auto& proc = procs_[static_cast<std::size_t>(p)];
-  if (!proc.pending) {
-    throw std::logic_error("Engine::pending_inv: process " +
-                           std::to_string(p) + " has no pending access");
-  }
-  return proc.pending->inv;
-}
-
 Engine::CommitInfo Engine::commit(ProcId p, int choice) {
   return commit_impl(p, choice, nullptr);
 }

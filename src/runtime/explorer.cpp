@@ -18,13 +18,13 @@
 //     SpillArena obeying storage.memory_budget_bytes;
 //   * checkpointing runs only when storage.checkpoint_dir is set.
 //
-// kNone is the degenerate reduction: no ReductionContext, so the sleep mask
-// stays empty and no renaming is ever applied.
+// Only kSleepSymmetry builds a ReductionContext; kNone and kSleep take the
+// same path, on which no renaming is ever applied.
 //
 // ORDER CONTRACT.  Memo lookup precedes the cycle abort, which precedes the
 // limit/cancel check, which precedes the intern + configs increment;
 // children are enumerated in ascending process order with nondeterministic
-// choices inner; edges are counted before each step; under reduction the
+// choices inner; edges are counted before each step; under symmetry the
 // engine is canonicalized in place at node entry and un-renamed on every
 // exit path -- memo hits and limit aborts included -- before control
 // returns to the parent, whose revert() assumes the engine is exactly as
@@ -79,12 +79,10 @@ struct Info {
 struct Frame {
   std::uint32_t id = 0;
   Info info;
-  /// Enabled steps in ascending process order (full enumeration including
-  /// slept ones; ReductionContext::child_sleep indexes into it).
+  /// Enabled steps in ascending process order.
   std::vector<ReductionContext::Step> steps;
   std::size_t step_idx = 0;
   int choice = 0;
-  std::uint64_t sleep = 0;       ///< post-canonicalization sleep mask
   int applied_renaming = -1;     ///< entry canonicalization, undone at pop
   Engine::UndoRecord undo;       ///< journal of the in-flight child step
   Engine::CommitInfo commit;     ///< commit info of the in-flight step
@@ -172,9 +170,8 @@ class SequentialExplorer {
       acc_len_ = static_cast<std::size_t>(num_objects_);
       inv_len_ = inv_offset_.back();
     }
-    if (options_.reduction != Reduction::kNone) {
-      ctx_ = std::make_unique<ReductionContext>(sys, options_.reduction,
-                                                options_.independence);
+    if (options_.reduction == Reduction::kSleepSymmetry) {
+      ctx_ = std::make_unique<ReductionContext>(sys);
     }
 
     engine_.emplace(root);
@@ -185,7 +182,7 @@ class SequentialExplorer {
       }
     }
     if (live_ == 0 && !outcome_.resumed) {
-      enter(0, 0);
+      enter(0);
     }
     while (live_ != 0) {
       Frame& f = top();
@@ -205,23 +202,14 @@ class SequentialExplorer {
         pop();
         continue;
       }
-      if (ctx_) {
-        while (f.step_idx < f.steps.size() &&
-               (f.sleep & (std::uint64_t{1} << f.steps[f.step_idx].p))) {
-          ++f.step_idx;
-        }
-      }
       if (f.step_idx >= f.steps.size()) {
         pop();
         continue;
       }
-      const ReductionContext::Step& st = f.steps[f.step_idx];
-      const std::uint64_t child_sleep =
-          ctx_ ? ctx_->child_sleep(f.steps, f.step_idx, f.sleep) : 0;
       ++outcome_.stats.edges;
-      f.commit = engine_->apply(st.p, f.choice, f.undo);
+      f.commit = engine_->apply(f.steps[f.step_idx].p, f.choice, f.undo);
       f.in_flight = true;
-      enter(child_sleep, f.depth + 1);
+      enter(f.depth + 1);
     }
 
     // Stats are only meaningful when the exploration ran to completion
@@ -343,14 +331,14 @@ class SequentialExplorer {
   /// or the child just applied by the top frame).  On a memo hit / cycle /
   /// limit the node resolves immediately into leaf_; otherwise a frame is
   /// pushed.
-  void enter(std::uint64_t sleep, int depth) {
+  void enter(int depth) {
     if (aborted_) {
       leaf_ = leaf();
       return;
     }
     int applied = -1;
     if (ctx_) {
-      ctx_->canonical_node_key_into(*engine_, sleep, scratch_, &applied);
+      ctx_->canonical_node_key_into(*engine_, scratch_, &applied);
     } else {
       engine_->config_key_into(scratch_);
     }
@@ -409,7 +397,6 @@ class SequentialExplorer {
     f.id = id;
     f.info = std::move(info);
     ReductionContext::steps_into(*engine_, f.steps);
-    f.sleep = sleep;
     f.applied_renaming = applied;
     f.depth = depth;
     if (memo_.spills()) {
@@ -553,23 +540,21 @@ class SequentialExplorer {
     // node key is checked against the interned manifest.
     engine_.emplace(root);
     std::vector<std::uint64_t> expect;
-    std::uint64_t sleep = 0;
     for (std::size_t k = 0; k < snap.frames.size(); ++k) {
       const FrameSnap& fs = snap.frames[k];
       int applied = -1;
       if (ctx_) {
-        ctx_->canonical_node_key_into(*engine_, sleep, scratch_, &applied);
+        ctx_->canonical_node_key_into(*engine_, scratch_, &applied);
       } else {
         engine_->config_key_into(scratch_);
       }
       memo_.ooc().decode_into(fs.id, expect);
-      if (expect != scratch_.words || (ctx_ && sleep != fs.sleep)) {
+      if (expect != scratch_.words) {
         throw std::runtime_error("checkpoint resume: replay diverged");
       }
       Frame& f = push_frame();
       f.id = fs.id;
       f.applied_renaming = applied;
-      f.sleep = fs.sleep;
       f.depth = static_cast<int>(k);
       f.key = scratch_.words;
       ReductionContext::steps_into(*engine_, f.steps);
@@ -579,10 +564,8 @@ class SequentialExplorer {
       f.info.acc_from.assign(fs.acc_from.begin(), fs.acc_from.end());
       f.info.inv_from.assign(fs.inv_from.begin(), fs.inv_from.end());
       if (k + 1 < snap.frames.size()) {
-        const ReductionContext::Step& st = f.steps[f.step_idx];
-        f.commit = engine_->apply(st.p, f.choice, f.undo);
+        f.commit = engine_->apply(f.steps[f.step_idx].p, f.choice, f.undo);
         f.in_flight = true;
-        sleep = ctx_ ? ctx_->child_sleep(f.steps, f.step_idx, f.sleep) : 0;
       }
     }
   }
@@ -618,7 +601,6 @@ class SequentialExplorer {
       fs.id = f.id;
       fs.step_idx = static_cast<std::uint32_t>(f.step_idx);
       fs.choice = f.choice;
-      fs.sleep = f.sleep;
       fs.depth_from = f.info.depth_from;
       fs.acc_from.assign(f.info.acc_from.begin(), f.info.acc_from.end());
       fs.inv_from.assign(f.info.inv_from.begin(), f.info.inv_from.end());
@@ -676,7 +658,7 @@ class SequentialExplorer {
   const ExploreOptions& options_;
   const ExploreLimits& limits_;
   const TerminalCheck& check_;
-  /// Non-null iff options_.reduction != kNone.
+  /// Non-null iff options_.reduction == kSleepSymmetry.
   std::unique_ptr<ReductionContext> ctx_;
   int num_objects_ = 0;
   std::vector<std::size_t> inv_offset_;

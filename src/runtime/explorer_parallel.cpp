@@ -106,7 +106,6 @@ struct PathStep {
 struct PNode {
   // ---- path (the claimer) ----
   PNode* parent = nullptr;  ///< the node whose expansion claimed this one
-  std::uint64_t sleep = 0;  ///< sleep mask the node was claimed with
   PathStep step;            ///< from parent to this node
   int depth = 0;            ///< parent links to the root
   // ---- expansion (the expanding worker) ----
@@ -189,9 +188,8 @@ class ParallelExplorer {
 
   ExploreOutcome run(const Engine& root) {
     const System& sys = root.system();
-    if (options_.reduction != Reduction::kNone) {
-      ctx_ = std::make_unique<ReductionContext>(sys, options_.reduction,
-                                                options_.independence);
+    if (options_.reduction == Reduction::kSleepSymmetry) {
+      ctx_ = std::make_unique<ReductionContext>(sys);
     }
     num_objects_ = sys.num_objects();
     if (limits_.track_access_bounds) {
@@ -215,11 +213,9 @@ class ParallelExplorer {
     canonical_root_.emplace(root);
     PNode* root_node = nullptr;
     {
-      std::uint64_t root_sleep = 0;
       ConfigKey key;
       if (ctx_) {
-        ctx_->canonical_node_key_into(*canonical_root_, root_sleep, key,
-                                      nullptr);
+        ctx_->canonical_node_key_into(*canonical_root_, key, nullptr);
       } else {
         canonical_root_->config_key_into(key);
       }
@@ -228,7 +224,6 @@ class ParallelExplorer {
                       .intern(key.words, config_hash_words(key.words),
                               scratch, arenas_[0].arena)
                       .value;
-      root_node->sleep = root_sleep;
     }
     configs_.store(1, std::memory_order_relaxed);
     pending_.store(1, std::memory_order_relaxed);
@@ -384,10 +379,10 @@ class ParallelExplorer {
   }
 
   /// Expands one frontier node, engine already positioned at it, in the
-  /// sequential explorer's enumeration order: ascending processes, slept
-  /// ones skipped, choices inner.  Under reduction every child is
-  /// canonicalized in place before the claim, so the stored edge order --
-  /// replayed by the post-pass -- matches the sequential reduced explorer.
+  /// sequential explorer's enumeration order: ascending processes, choices
+  /// inner.  Under symmetry every child is canonicalized in place before
+  /// the claim, so the stored edge order -- replayed by the post-pass --
+  /// matches the sequential reduced explorer.
   void expand(Worker& w, PNode& node) {
     Engine& e = *w.engine;
     if (e.all_done()) {
@@ -398,29 +393,22 @@ class ParallelExplorer {
     ReductionContext::steps_into(e, w.steps);
     std::size_t out_degree = 0;
     for (const ReductionContext::Step& step : w.steps) {
-      if (!(node.sleep & (std::uint64_t{1} << step.p))) {
-        out_degree += static_cast<std::size_t>(step.width);
-      }
+      out_degree += static_cast<std::size_t>(step.width);
     }
     if (out_degree > 0) node.edges = w.arena.allocate_array<PEdge>(out_degree);
-    for (std::size_t idx = 0; idx < w.steps.size(); ++idx) {
-      const ReductionContext::Step& step = w.steps[idx];
-      if (node.sleep & (std::uint64_t{1} << step.p)) continue;
-      const std::uint64_t child_sleep =
-          ctx_ ? ctx_->child_sleep(w.steps, idx, node.sleep) : 0;
+    for (const ReductionContext::Step& step : w.steps) {
       for (int c = 0; c < step.width; ++c) {
         if (stopped()) return;
         w.writer.add(kCtrEdges, 1);
         const Engine::CommitInfo commit = e.apply(step.p, c, w.undo);
-        std::uint64_t canon_sleep = child_sleep;
         int applied = -1;
         if (ctx_) {
-          ctx_->canonical_node_key_into(e, canon_sleep, w.scratch, &applied);
+          ctx_->canonical_node_key_into(e, w.scratch, &applied);
         } else {
           e.config_key_into(w.scratch);
         }
-        const bool ok = claim_child(w, node, canon_sleep, commit,
-                                    PathStep{step.p, c, applied});
+        const bool ok =
+            claim_child(w, node, commit, PathStep{step.p, c, applied});
         if (applied >= 0) ctx_->undo_renaming(e, applied);
         e.revert(w.undo);
         if (!ok) return;
@@ -447,8 +435,8 @@ class ParallelExplorer {
   /// lock-free interner, records the edge, and enqueues the child on the
   /// claiming worker's own deque when this call won the publication race.
   /// Returns false on a limit abort.
-  bool claim_child(Worker& w, PNode& node, std::uint64_t child_sleep,
-                   const Engine::CommitInfo& commit, PathStep step) {
+  bool claim_child(Worker& w, PNode& node, const Engine::CommitInfo& commit,
+                   PathStep step) {
     const auto ref =
         interner_.intern(w.scratch.words, config_hash_words(w.scratch.words),
                          w.counters, w.arena);
@@ -466,7 +454,6 @@ class ParallelExplorer {
       pending_.fetch_add(1, std::memory_order_acq_rel);
       PNode& child = *ref.value;
       child.parent = &node;
-      child.sleep = child_sleep;
       child.step = step;
       child.depth = node.depth + 1;
       queues_[static_cast<std::size_t>(w.wid)]->push(&child);
@@ -585,8 +572,8 @@ class ParallelExplorer {
   const ExploreOptions options_;
   const TerminalCheck& check_;
   const int threads_;
-  /// Non-null iff options_.reduction != kNone; built in run() once the
-  /// system is known.
+  /// Non-null iff options_.reduction == kSleepSymmetry; built in run()
+  /// once the system is known.
   std::unique_ptr<ReductionContext> ctx_;
   int num_objects_ = 0;
   std::vector<std::size_t> inv_offset_;

@@ -184,6 +184,9 @@ Submitted JobScheduler::admit(const VerifyJob& job, bool reject_when_full) {
   metrics_.lookup_ns_total += ns_between(t0, Clock::now());
   metrics_.lookup_count += 1;
   if (hit) {
+    // This submission is answered from the store: drop the key's older
+    // statuses, so poll() reports that.
+    std::erase_if(recent_, [&](const Recent& r) { return r.key == key; });
     metrics_.submitted += 1;
     metrics_.cache_hits += 1;
     out.cached = true;
@@ -324,6 +327,7 @@ void JobScheduler::finish(const std::shared_ptr<InFlight>& job, Verdict verdict,
       std::error_code ec;
       std::filesystem::remove_all(dir, ec);
     }
+    remember_status(job->key, state, nullptr, w);
   } else {
     // Incomplete / cancelled / failed verdicts never enter the store; keep
     // the outcome around for poll().
@@ -334,7 +338,7 @@ void JobScheduler::finish(const std::shared_ptr<InFlight>& job, Verdict verdict,
     } else {
       w.add(kWcFailed, 1);
     }
-    remember_status(job->key, state, verdict, w);
+    remember_status(job->key, state, &verdict, w);
   }
   job->state = state;
   inflight_.erase(std::find(inflight_.begin(), inflight_.end(), job));
@@ -347,12 +351,12 @@ void JobScheduler::finish(const std::shared_ptr<InFlight>& job, Verdict verdict,
 }
 
 void JobScheduler::remember_status(const JobKey& key, JobState state,
-                                   const Verdict& verdict,
+                                   const Verdict* verdict,
                                    concurrent::StatsSnapshot::Writer& w) {
-  JobStatus status;
-  status.state = state;
-  status.verdict = verdict;
-  recent_.emplace_back(key, std::move(status));
+  Recent r{key, {}, verdict == nullptr};
+  r.status.state = state;
+  if (verdict) r.status.verdict = *verdict;
+  recent_.push_back(std::move(r));
   while (recent_.size() > options_.status_history) {
     recent_.pop_front();
     w.add(kWcEvictions, 1);
@@ -395,14 +399,18 @@ std::optional<JobStatus> JobScheduler::poll(const JobKey& key) const {
       return status;
     }
   }
-  // Most recent uncacheable outcome wins.
+  // The most recent outcome wins; a stored one is read back below.
+  bool computed = false;
   for (auto it = recent_.rbegin(); it != recent_.rend(); ++it) {
-    if (it->first == key) return it->second;
+    if (it->key != key) continue;
+    if (!it->stored) return it->status;
+    computed = true;
+    break;
   }
   if (std::optional<Verdict> v = store_.lookup(key)) {
     JobStatus status;
     status.state = JobState::kDone;
-    status.from_cache = true;
+    status.from_cache = !computed;
     status.verdict = std::move(*v);
     return status;
   }

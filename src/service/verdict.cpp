@@ -63,8 +63,11 @@ class Reader {
 // marks failing verdicts whose counters are the sequential explorer's at
 // every thread count; a version-2 record of a failing multi-threaded job
 // may hold timing-dependent ones, so it must not be served: the store skips
-// records of any other version (verdict_version_current).
-constexpr std::uint8_t kVersion = 3;
+// records of any other version (verdict_version_current).  Version 4 marks
+// the deletion of sleep sets: `sleep` jobs now count the unreduced graph and
+// `sleep+symmetry` jobs the symmetry-reduced one, so their `configs` differ
+// from version-3 records of the same job text.
+constexpr std::uint8_t kVersion = 4;
 
 void json_escape_into(std::ostream& out, const std::string& s) {
   for (const char ch : s) {

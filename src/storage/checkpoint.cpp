@@ -11,7 +11,9 @@ namespace {
 constexpr std::uint32_t kTagSnapshot = 1;
 constexpr std::uint32_t kTagKeyBatch = 2;
 // 2: key batches hold byte-packed configuration keys (engine.hpp).
-constexpr std::uint32_t kSnapshotVersion = 2;
+// 3: frames no longer carry a sleep mask (sleep sets are gone).  A snapshot
+// of any other version is ignored, so the run starts from the root.
+constexpr std::uint32_t kSnapshotVersion = 3;
 
 const char* kFrontierName = "frontier.log";
 const char* kArenaName = "arena.log";
@@ -114,7 +116,6 @@ std::vector<std::uint8_t> encode_snapshot(const FrontierSnapshot& s) {
     put_u32(b, f.id);
     put_u32(b, f.step_idx);
     put_i32(b, f.choice);
-    put_u64(b, f.sleep);
     put_i32(b, f.depth_from);
     put_u64vec(b, f.acc_from);
     put_u64vec(b, f.inv_from);
@@ -158,7 +159,6 @@ std::optional<FrontierSnapshot> decode_snapshot(
     f.id = r.get_u32();
     f.step_idx = r.get_u32();
     f.choice = r.get_i32();
-    f.sleep = r.get_u64();
     f.depth_from = r.get_i32();
     f.acc_from = r.get_u64vec();
     f.inv_from = r.get_u64vec();

@@ -460,6 +460,10 @@ TEST(ExplorerVsOracle, RandomTypes) {
 // the cycle abort before the limit check.  These outcomes were recorded
 // from the copy-the-engine reference explorer that first defined this
 // order, before it was retired; explore() must keep reproducing them.
+// kSleep explores exactly like kNone, so its rows repeat kNone's.  The
+// kSleepSymmetry rows were re-recorded when sleep sets were deleted; a
+// build of the previous explorer with its sleep sets switched off gives
+// the same values.
 
 struct Pinned {
   std::size_t configs;
@@ -503,10 +507,10 @@ TEST(CompiledVsLegacy, LimitAbortMatches) {
        {17, 19, 8, true, false}},
       {{1, 1, 0, true, false},
        {5, 5, 1, true, false},
-       {17, 17, 8, true, false}},
+       {17, 19, 8, true, false}},
       {{1, 1, 0, true, false},
        {5, 5, 1, true, false},
-       {17, 18, 7, true, false}},
+       {17, 24, 7, true, false}},
   };
   for (int m = 0; m < 3; ++m) {
     const std::size_t limits[] = {1, 5, 17};
@@ -541,8 +545,8 @@ TEST(CompiledVsLegacy, ViolationStopMatches) {
   // [mode][stop_at_violation true, false]
   const Pinned pinned[3][2] = {
       {{5, 4, 1, true, true}, {49, 84, 16, true, true}},
-      {{5, 4, 1, true, true}, {49, 48, 16, true, true}},
-      {{5, 4, 1, true, true}, {34, 40, 10, true, true}},
+      {{5, 4, 1, true, true}, {49, 84, 16, true, true}},
+      {{5, 4, 1, true, true}, {28, 48, 10, true, true}},
   };
   for (int m = 0; m < 3; ++m) {
     for (const bool stop : {true, false}) {

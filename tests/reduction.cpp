@@ -3,10 +3,11 @@
 // random types, exploring with Reduction::kSleep / kSleepSymmetry must
 // report the SAME verdicts (wait-freedom, violation presence, depth,
 // per-object access bounds) as Reduction::kNone while visiting no more --
-// and on symmetric systems provably fewer -- configurations.  Also covers
-// the parallel reduced explorer (bit-identical to the sequential reduced
-// one), ExploreStats lower bounds under early aborts, the analysis-refined
-// independence table, and the shared-port fallback.
+// and on symmetric systems provably fewer -- configurations.  kSleep must
+// explore exactly like kNone.  Also covers the parallel reduced explorer
+// (bit-identical to the sequential reduced one), ExploreStats lower bounds
+// under early aborts, shared-port systems, and the metamorphic orbit
+// oracle: every root of a consensus job's renaming orbit gives equal stats.
 #include "wfregs/runtime/reduction.hpp"
 
 #include <gtest/gtest.h>
@@ -17,7 +18,6 @@
 #include <vector>
 
 #include "test_support.hpp"
-#include "wfregs/analysis/independence.hpp"
 #include "wfregs/consensus/check.hpp"
 #include "wfregs/consensus/protocols.hpp"
 #include "wfregs/core/register_elimination.hpp"
@@ -47,13 +47,8 @@ std::string reduction_name(Reduction r) {
 }
 
 /// The reduction contract: verdicts, depth and access bounds match the
-/// unreduced run.  Node counts are NOT asserted <=: reduced nodes are
-/// (configuration, sleep mask) pairs, so on small dependence-heavy systems
-/// -- where pruning fires only partially -- the same configuration can
-/// appear under two sleep masks and the reduced graph runs a few nodes
-/// larger.  That exact identity is what keeps reduced runs deterministic at
-/// any thread count; the payoff on independence- and symmetry-rich systems
-/// is asserted separately.  A 2x guard still catches pathological blowup.
+/// unreduced run, and the reduced run visits no more configurations (a
+/// symmetry quotient is never larger than the graph it quotients).
 void ExpectSameVerdict(const ExploreOutcome& none, const ExploreOutcome& red,
                        const std::string& what) {
   EXPECT_EQ(none.wait_free, red.wait_free) << what;
@@ -63,7 +58,7 @@ void ExpectSameVerdict(const ExploreOutcome& none, const ExploreOutcome& red,
   EXPECT_EQ(none.stats.max_accesses, red.stats.max_accesses) << what;
   EXPECT_EQ(none.stats.max_accesses_by_inv, red.stats.max_accesses_by_inv)
       << what;
-  EXPECT_LE(red.stats.configs, 2 * none.stats.configs) << what;
+  EXPECT_LE(red.stats.configs, none.stats.configs) << what;
 }
 
 void ExpectIdentical(const ExploreOutcome& a, const ExploreOutcome& b,
@@ -311,7 +306,7 @@ TEST(Reduction, SymmetricConsensusScenarioShrinks) {
   ExpectSameVerdict(none, red, "cas(3) all-ones");
   // One-invocation propose programs keep this tree shallow, so the orbit
   // collapse stays below the asymptotic |S_3| = 6; 2x is already symmetry
-  // at work (sleep alone GROWS this root: see DifferentialOnConsensusProtocols).
+  // at work.
   EXPECT_LE(red.stats.configs * 2, none.stats.configs)
       << "expected >= 2x reduction, got " << none.stats.configs << " -> "
       << red.stats.configs;
@@ -360,45 +355,10 @@ TEST(Reduction, StopAtViolationStillReportsViolation) {
   }
 }
 
-TEST(Reduction, InjectedRefinedTableStaysSound) {
-  const ExploreLimits limits = full_limits();
-  for (auto& [name, t] : {std::pair<std::string, TypeSpec>{
-                              "cas(2,2)", zoo::cas_type(2, 2)},
-                          {"queue(2,2,2)", zoo::queue_type(2, 2, 2)},
-                          {"mod_counter(3,2)", zoo::mod_counter_type(3, 2)}}) {
-    const Engine root = folding_scenario(share(std::move(t)));
-    const auto none = explore(root, limits);
-    const IndependenceTable refined =
-        analysis::refined_independence(root.system());
-    ExploreOptions options{limits, Reduction::kSleep};
-    options.independence = &refined;
-    const auto red = explore(root, options);
-    ExpectSameVerdict(none, red, name + " @ refined table");
-    // The refined table is never coarser than the baseline.
-    const auto baseline =
-        explore(root, ExploreOptions{limits, Reduction::kSleep});
-    EXPECT_LE(red.stats.configs, baseline.stats.configs) << name;
-  }
-}
-
-TEST(Reduction, RefinedTableNeverCoarserThanBaseline) {
-  for (auto& [name, t] : zoo_instances()) {
-    const Engine root = folding_scenario(share(std::move(t)));
-    const System& sys = root.system();
-    const IndependenceTable baseline = IndependenceTable::build(sys);
-    const IndependenceTable refined = analysis::refined_independence(sys);
-    EXPECT_GE(refined.independent_pairs(), baseline.independent_pairs())
-        << name;
-    const std::string description = analysis::describe_independence(sys);
-    EXPECT_NE(description.find("total independent pairs"), std::string::npos)
-        << name;
-  }
-}
-
 TEST(Reduction, SharedPortSystemsFallBackToSymmetryOnly) {
-  // Two processes sharing port 0 of an oblivious counter: steps conflict
-  // through per-port state identity, so sleep-set pruning must deactivate
-  // and the reduced run must degrade gracefully to the unreduced graph.
+  // Two processes sharing port 0 of an oblivious counter, each with its own
+  // program: no renaming is an automorphism, so every mode explores the
+  // unreduced graph.
   auto sys = std::make_shared<System>(2);
   const ObjectId obj =
       sys->add_base(share(zoo::fetch_and_add_type(4, 2)), 0, {0, 0});
@@ -411,22 +371,96 @@ TEST(Reduction, SharedPortSystemsFallBackToSymmetryOnly) {
     sys->set_toplevel(p, b.build("shared_p" + std::to_string(p)), {obj});
   }
   const Engine root{std::move(sys)};
-  const ReductionContext ctx(root.system(), Reduction::kSleep, nullptr);
-  EXPECT_FALSE(ctx.sleep_active());
+  EXPECT_TRUE(symmetry_renamings(root.system()).empty());
   const ExploreLimits limits = full_limits();
   const auto none = explore(root, limits);
-  const auto red = explore(root, ExploreOptions{limits, Reduction::kSleep});
-  ExpectSameVerdict(none, red, "shared-port");
-  EXPECT_EQ(none.stats.configs, red.stats.configs);
+  for (const Reduction r : kReductions) {
+    const auto red = explore(root, ExploreOptions{limits, r});
+    ExpectIdentical(none, red, "shared-port @ " + reduction_name(r));
+  }
 }
 
-TEST(Reduction, InjectedTableShapeMismatchThrows) {
-  const Engine a = folding_scenario(share(zoo::cas_type(2, 2)));
-  const Engine b = folding_scenario(share(zoo::queue_type(2, 2, 2)));
-  const IndependenceTable wrong = IndependenceTable::build(a.system());
-  ExploreOptions options{{}, Reduction::kSleep};
-  options.independence = &wrong;
-  EXPECT_THROW(explore(b, options), std::invalid_argument);
+TEST(Reduction, SleepExploresExactlyLikeNone) {
+  // kSleep is a job-text spelling of kNone: every counter, sequential and
+  // parallel, on symmetric and asymmetric roots alike.
+  const ExploreLimits limits = full_limits();
+  std::vector<std::pair<std::string, Engine>> roots;
+  for (auto& [name, t] : zoo_instances()) {
+    roots.emplace_back(name, folding_scenario(share(std::move(t))));
+  }
+  roots.emplace_back(
+      "symmetric fetch_and_add(4,3)",
+      symmetric_scenario_for(share(zoo::fetch_and_add_type(4, 3)), 0));
+  roots.emplace_back("consensus cas(3)",
+                     Engine{consensus::consensus_scenario(
+                         consensus::from_cas(3), {1, 1, 1})});
+  for (const auto& [name, root] : roots) {
+    const auto none = explore(root, limits);
+    ExpectIdentical(none, explore(root, ExploreOptions{limits,
+                                                       Reduction::kSleep}),
+                    name);
+    ExpectIdentical(
+        none,
+        explore_parallel(root, {}, ExploreOptions{limits, Reduction::kSleep},
+                         2),
+        name + " x 2 threads");
+  }
+}
+
+TEST(Reduction, RenamedRootsGiveEqualStats) {
+  // Metamorphic oracle for exploring one input vector per orbit.  A process
+  // renaming pi in the scenario's symmetry group (taken from the all-zero
+  // instance) maps the root for input vector v onto the root for the
+  // renamed vector w, w[pi(p)] = v[p]; the two configuration graphs are
+  // isomorphic, and so are their symmetry quotients.  A renaming moves
+  // ports, never object or invocation ids, so even the access-bound vectors
+  // must match.
+  const ExploreLimits limits = full_limits();
+  for (int n = 3; n <= 5; ++n) {
+    const std::vector<
+        std::pair<std::string, std::shared_ptr<const Implementation>>>
+        protocols = {
+            {"cas(" + std::to_string(n) + ")", consensus::from_cas(n)},
+            {"sticky_bit(" + std::to_string(n) + ")",
+             consensus::from_sticky_bit(n)},
+            {"consensus_object(" + std::to_string(n) + ")",
+             consensus::from_consensus_object(n)},
+        };
+    for (const auto& [name, impl] : protocols) {
+      const consensus::ScenarioTemplate scenario(impl);
+      const std::vector<ProcessRenaming> group = symmetry_renamings(
+          *scenario.instantiate(std::vector<int>(n, 0)));
+      ASSERT_FALSE(group.empty()) << name;
+      for (const Reduction r : {Reduction::kNone, Reduction::kSleepSymmetry}) {
+        std::vector<ExploreOutcome> by_vec;
+        for (int vec = 0; vec < (1 << n); ++vec) {
+          std::vector<int> inputs;
+          for (int p = 0; p < n; ++p) inputs.push_back((vec >> p) & 1);
+          by_vec.push_back(explore(Engine{scenario.instantiate(inputs)},
+                                   ExploreOptions{limits, r}));
+          ASSERT_TRUE(by_vec.back().complete) << name;
+        }
+        for (int vec = 0; vec < (1 << n); ++vec) {
+          for (const ProcessRenaming& pi : group) {
+            int renamed = 0;
+            for (int p = 0; p < n; ++p) {
+              renamed |= ((vec >> p) & 1) << pi.proc_map[p];
+            }
+            const ExploreStats& a = by_vec[vec].stats;
+            const ExploreStats& b = by_vec[renamed].stats;
+            const std::string what = name + " @ " + reduction_name(r) +
+                                     ": inputs " + std::to_string(vec) +
+                                     " vs " + std::to_string(renamed);
+            EXPECT_EQ(a.configs, b.configs) << what;
+            EXPECT_EQ(a.terminals, b.terminals) << what;
+            EXPECT_EQ(a.depth, b.depth) << what;
+            EXPECT_EQ(a.max_accesses, b.max_accesses) << what;
+            EXPECT_EQ(a.max_accesses_by_inv, b.max_accesses_by_inv) << what;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Reduction, VerifiersThreadReductionThrough) {

@@ -141,6 +141,31 @@ TEST(Daemon, SubmitPollStatsShutdownLifecycle) {
   EXPECT_GE(fixture.served, 5u);
 }
 
+TEST(Daemon, PollFromCacheFollowsTheLatestSubmission) {
+  // A cold job's verdict was computed, not served from the cache; only a
+  // resubmission that hits the cache reports from_cache 1.
+  const std::string sock = socket_path("prov");
+  DaemonFixture fixture(sock);
+  Client client(sock);
+  const std::string text = job_text(consensus::from_test_and_set());
+  const std::string key = job_key_hex(job_key(parse_job(text)));
+
+  client.submit(text);
+  const std::string cold = client.wait(key);
+  EXPECT_TRUE(contains(cold, "\"status\":\"done\"")) << cold;
+  EXPECT_TRUE(contains(cold, "\"from_cache\":0")) << cold;
+  EXPECT_TRUE(contains(client.stats(), "\"cache_hits\":0"));
+
+  EXPECT_TRUE(contains(client.submit(text), "\"status\":\"cached\""));
+  const std::string warm = client.poll(key);
+  EXPECT_TRUE(contains(warm, "\"status\":\"done\"")) << warm;
+  EXPECT_TRUE(contains(warm, "\"from_cache\":1")) << warm;
+  EXPECT_TRUE(contains(client.stats(), "\"cache_hits\":1"));
+
+  client.shutdown();
+  fixture.server.join();
+}
+
 TEST(Daemon, MalformedJobTextGetsAnErrorReplyNotADrop) {
   const std::string sock = socket_path("err");
   DaemonFixture fixture(sock);

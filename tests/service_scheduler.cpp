@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "wfregs/consensus/check.hpp"
 #include "wfregs/consensus/protocols.hpp"
 #include "wfregs/service/store.hpp"
 #include "wfregs/storage/checkpoint.hpp"
@@ -108,6 +109,32 @@ TEST(JobScheduler, ComputesCachesAndHits) {
   ASSERT_TRUE(status.has_value());
   EXPECT_EQ(status->state, JobState::kDone);
   EXPECT_TRUE(status->from_cache);
+}
+
+TEST(JobScheduler, PollReportsWhereTheLatestSubmissionGotItsVerdict) {
+  JobScheduler sched(one_worker(),
+                     [](const VerifyJob& job, const std::atomic<bool>&) {
+                       return quick_verdict(job.options.limits.max_depth);
+                     });
+  const Submitted cold = sched.submit(job_number(1));
+  ASSERT_FALSE(cold.cached);
+  cold.result.wait();
+  auto status = sched.poll(cold.key);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->state, JobState::kDone);
+  EXPECT_FALSE(status->from_cache) << "a computed verdict is not a hit";
+  EXPECT_TRUE(status->verdict == quick_verdict(10001));
+
+  const Submitted warm = sched.submit(job_number(1));
+  ASSERT_TRUE(warm.cached);
+  status = sched.poll(warm.key);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->state, JobState::kDone);
+  EXPECT_TRUE(status->from_cache);
+  EXPECT_TRUE(status->verdict == quick_verdict(10001));
+  const Metrics m = sched.metrics();
+  EXPECT_EQ(m.cache_misses, 1u);
+  EXPECT_EQ(m.cache_hits, 1u);
 }
 
 TEST(JobScheduler, IdenticalInFlightJobsCoalesce) {
@@ -304,6 +331,56 @@ TEST(JobScheduler, CachedVerdictsAreBitIdenticalToFreshRecomputation) {
     }
   }
   std::remove(store.c_str());
+}
+
+TEST(JobScheduler, SleepJobsEncodeTheNoneVerdictUnderTheirOwnKeys) {
+  // `sleep` explores exactly like `none` but stays its own job text: the
+  // three reduction spellings round-trip through print_job / parse_job byte
+  // for byte and give three keys, while a sleep job's verdict bytes equal
+  // the none job's.  Symmetry keeps the verdict and visits no more
+  // configurations.
+  const std::vector<std::shared_ptr<const Implementation>> impls = {
+      consensus::from_test_and_set(),
+      consensus::from_queue(),
+      consensus::from_fetch_and_add(),
+      consensus::from_cas(3),
+      consensus::from_sticky_bit(3),
+      consensus::from_shift_register(3, 2),
+      consensus::registers_only_attempt(2),
+  };
+  const std::atomic<bool> no_cancel{false};
+  const JobScheduler::Runner run = JobScheduler::default_runner(1);
+  for (std::size_t k = 0; k < impls.size(); ++k) {
+    std::vector<JobKey> keys;
+    std::vector<Verdict> verdicts;
+    for (const Reduction r : {Reduction::kNone, Reduction::kSleep,
+                              Reduction::kSleepSymmetry}) {
+      VerifyJob job;
+      job.kind = JobKind::kConsensus;
+      job.impl = impls[k];
+      job.options.reduction = r;
+      const std::string text = print_job(job);
+      const VerifyJob back = parse_job(text);
+      EXPECT_EQ(back.options.reduction, r) << "case " << k;
+      EXPECT_EQ(print_job(back), text) << "case " << k;
+      keys.push_back(job_key(job));
+      verdicts.push_back(run(job, no_cancel));
+    }
+    EXPECT_FALSE(keys[0] == keys[1]) << "case " << k;
+    EXPECT_FALSE(keys[0] == keys[2]) << "case " << k;
+    EXPECT_FALSE(keys[1] == keys[2]) << "case " << k;
+    EXPECT_TRUE(encode_verdict(verdicts[1]) == encode_verdict(verdicts[0]))
+        << "case " << k;
+    EXPECT_EQ(verdicts[2].ok, verdicts[0].ok) << "case " << k;
+    EXPECT_EQ(verdicts[2].wait_free, verdicts[0].wait_free) << "case " << k;
+    EXPECT_EQ(verdicts[2].complete, verdicts[0].complete) << "case " << k;
+    if (verdicts[0].ok) {
+      EXPECT_EQ(verdicts[2].stats.depth, verdicts[0].stats.depth)
+          << "case " << k;
+      EXPECT_LE(verdicts[2].stats.configs, verdicts[0].stats.configs)
+          << "case " << k;
+    }
+  }
 }
 
 TEST(JobScheduler, FailingJobsEncodeTheSameVerdictAtEveryThreadCount) {
@@ -549,6 +626,115 @@ TEST(JobScheduler, DeadlineLeavesAPartialCheckpointAndResubmissionResumes) {
     EXPECT_EQ(m.completed, 1u);
     EXPECT_EQ(m.resumed_jobs, 1u);
     EXPECT_EQ(m.cancelled, 0u);
+  }
+  std::filesystem::remove_all(root);
+}
+
+/// Rewrites a frontier snapshot payload of the current version (3) into the
+/// version-2 layout, in which every frame carried a u64 sleep mask after its
+/// enumeration choice.  The rest of the payload is unchanged.
+std::vector<std::uint8_t> snapshot_as_version_two(
+    const std::vector<std::uint8_t>& v3) {
+  std::size_t at = 0;
+  const auto u32 = [&] {
+    std::uint32_t v = 0;
+    for (int k = 0; k < 4; ++k) {
+      v |= static_cast<std::uint32_t>(v3.at(at + k)) << (8 * k);
+    }
+    at += 4;
+    return v;
+  };
+  EXPECT_EQ(u32(), 3u) << "snapshot version is not 3";
+  at += 16 + 4;           // fingerprint, flag bytes
+  at += u32();            // violation text
+  at += 3 * 8 + 4 + 4;    // configs, edges, terminals, depth, interned
+  const std::uint32_t frames = u32();
+  std::vector<std::uint8_t> v2(v3.begin(), v3.begin() + at);
+  v2[0] = 2;
+  for (std::uint32_t f = 0; f < frames; ++f) {
+    const std::size_t start = at;
+    at += 3 * 4;  // id, step_idx, choice
+    v2.insert(v2.end(), v3.begin() + start, v3.begin() + at);
+    v2.insert(v2.end(), 8, 0);  // the sleep mask
+    const std::size_t rest = at;
+    at += 4;                   // depth_from
+    at += 8 * std::size_t{u32()};  // acc_from
+    at += 8 * std::size_t{u32()};  // inv_from
+    v2.insert(v2.end(), v3.begin() + rest, v3.begin() + at);
+  }
+  v2.insert(v2.end(), v3.begin() + at, v3.end());
+  return v2;
+}
+
+TEST(JobScheduler, VersionTwoCheckpointIsNotResumed) {
+  // A job directory left by a build whose snapshots carried sleep masks
+  // (format version 2) must not be resumed: the job runs from the root and
+  // gives the verdict bytes of a run with no checkpoint.  The same
+  // snapshots at the current version do resume (control).
+  const std::string root = ::testing::TempDir() + "wfregs_sched_v2_" +
+                           std::to_string(::getpid());
+  std::filesystem::remove_all(root);
+  VerifyJob job;
+  job.kind = JobKind::kConsensus;
+  job.impl = consensus::from_cas(4);
+  SchedulerOptions options = one_worker();
+  options.storage.memory_budget_bytes = 256 * 1024;
+  options.storage.arena_segment_bytes = 64 * 1024;
+  options.storage.checkpoint_dir = root + "/v2";
+  options.storage.checkpoint_every_configs = 16;
+  const std::string job_dir = root + "/v2/" + job_key_hex(job_key(job));
+
+  // Bank an interrupted run in the job's directory, as a cancelled run
+  // would leave it, and keep a copy at the current version.
+  VerifyOptions cut = job.options;
+  cut.threads = 1;
+  cut.storage = options.storage;
+  cut.storage.checkpoint_dir = job_dir;
+  cut.limits.max_configs = 40;
+  const consensus::ConsensusCheckResult partial =
+      consensus::check_consensus(job.impl, cut);
+  ASSERT_FALSE(partial.complete);
+  ASSERT_TRUE(partial.checkpointed);
+  std::filesystem::copy(root + "/v2", root + "/v3",
+                        std::filesystem::copy_options::recursive);
+
+  std::size_t unfinished = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(job_dir)) {
+    const std::string frontier = (entry.path() / "frontier.log").string();
+    if (!std::filesystem::exists(frontier)) continue;
+    unfinished += storage::FrontierCheckpoint::info(entry.path().string())
+                          .finished
+                      ? 0
+                      : 1;
+    const auto log = storage::read_record_log(frontier);
+    storage::RecordLogWriter writer(frontier);
+    writer.truncate_to(storage::kRecordLogHeaderBytes);
+    for (const storage::LogRecord& rec : log.records) {
+      const auto v2 = snapshot_as_version_two(rec.payload);
+      writer.append(rec.tag, v2.data(), v2.size());
+    }
+    writer.sync();
+    EXPECT_FALSE(
+        storage::FrontierCheckpoint::info(entry.path().string()).present);
+  }
+  ASSERT_GT(unfinished, 0u) << "no root was interrupted mid-exploration";
+
+  const std::atomic<bool> no_cancel{false};
+  const Verdict fresh = JobScheduler::default_runner(1)(job, no_cancel);
+  ASSERT_TRUE(fresh.ok);
+  {
+    JobScheduler sched(options);
+    const Verdict v = sched.submit(job).result.get();
+    EXPECT_FALSE(v.resumed);
+    EXPECT_TRUE(v.complete);
+    EXPECT_TRUE(encode_verdict(v) == encode_verdict(fresh));
+  }
+  {
+    options.storage.checkpoint_dir = root + "/v3";
+    JobScheduler sched(options);
+    const Verdict v = sched.submit(job).result.get();
+    EXPECT_TRUE(v.resumed);
+    EXPECT_TRUE(encode_verdict(v) == encode_verdict(fresh));
   }
   std::filesystem::remove_all(root);
 }

@@ -330,8 +330,8 @@ TEST(FrontierCheckpoint, WriteOpenRoundTrip) {
   frame.id = 0;
   frame.step_idx = 1;
   frame.choice = 2;
-  frame.sleep = 0b10;
   frame.depth_from = 4;
+  frame.acc_from = {7, 8};
   snap.frames.push_back(frame);
   const std::vector<std::vector<std::uint64_t>> keys = {
       {1, 2, 3}, {1, 2, 4}, {9, 9, 9, 9}};
@@ -364,7 +364,9 @@ TEST(FrontierCheckpoint, WriteOpenRoundTrip) {
   ASSERT_EQ(got->frames.size(), 1u);
   EXPECT_EQ(got->frames[0].step_idx, 1u);
   EXPECT_EQ(got->frames[0].choice, 2);
-  EXPECT_EQ(got->frames[0].sleep, 0b10u);
+  EXPECT_EQ(got->frames[0].depth_from, 4);
+  EXPECT_EQ(got->frames[0].acc_from, frame.acc_from);
+  EXPECT_TRUE(got->frames[0].inv_from.empty());
   EXPECT_EQ(got->node_depth_from, snap.node_depth_from);
   EXPECT_EQ(fed_ids, (std::vector<std::uint32_t>{0, 1, 2}));
   EXPECT_EQ(fed_parents[0], DeltaCodec::kNoParent);

@@ -406,7 +406,7 @@ TEST(OocExplorer, VersionOneSnapshotIsRefusedAndTheRunStartsFresh) {
     writer.truncate_to(storage::kRecordLogHeaderBytes);
     for (storage::LogRecord rec : log.records) {
       ASSERT_GE(rec.payload.size(), 4u);
-      ASSERT_EQ(rec.payload[0], 2u) << "snapshot version is not 2";
+      ASSERT_EQ(rec.payload[0], 3u) << "snapshot version is not 3";
       rec.payload[0] = 1;
       writer.append(rec.tag, rec.payload.data(), rec.payload.size());
     }
