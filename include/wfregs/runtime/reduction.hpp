@@ -104,9 +104,13 @@ class ReductionContext {
   /// place, writes that key into `out` (reused storage, cleared first) and
   /// reports through `applied` which group renaming was applied (an index
   /// for undo_renaming, or -1 when the engine was left untouched).  The
-  /// undo-based explorers must invert the canonicalization before
-  /// reverting the step that produced `e`.
-  void canonical_node_key_into(Engine& e, ConfigKey& out, int* applied) const;
+  /// renamed candidate keys are built in `scratch`, the caller's reused
+  /// storage (contents unspecified on return), so a node costs no heap
+  /// allocation once both keys have grown.  The undo-based explorers must
+  /// invert the canonicalization before reverting the step that produced
+  /// `e`.
+  void canonical_node_key_into(Engine& e, ConfigKey& out, ConfigKey& scratch,
+                               int* applied) const;
 
   /// Re-applies renaming `idx` (as reported by canonical_node_key_into) to
   /// an engine -- the parallel explorer's path replay uses this to

@@ -338,7 +338,7 @@ class SequentialExplorer {
     }
     int applied = -1;
     if (ctx_) {
-      ctx_->canonical_node_key_into(*engine_, scratch_, &applied);
+      ctx_->canonical_node_key_into(*engine_, scratch_, renamed_, &applied);
     } else {
       engine_->config_key_into(scratch_);
     }
@@ -544,7 +544,7 @@ class SequentialExplorer {
       const FrameSnap& fs = snap.frames[k];
       int applied = -1;
       if (ctx_) {
-        ctx_->canonical_node_key_into(*engine_, scratch_, &applied);
+        ctx_->canonical_node_key_into(*engine_, scratch_, renamed_, &applied);
       } else {
         engine_->config_key_into(scratch_);
       }
@@ -672,6 +672,7 @@ class SequentialExplorer {
   /// way down and reverts it on the way up.
   std::optional<Engine> engine_;
   ConfigKey scratch_;
+  ConfigKey renamed_;  ///< canonicalization's scratch for renamed keys
   KeyStore memo_;
   /// Per-id DP rows: depth (-1 = on path) plus flattened access bounds.
   std::vector<std::int32_t> node_depth_;

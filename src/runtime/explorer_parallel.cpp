@@ -151,6 +151,7 @@ struct Worker {
   std::vector<const PNode*> cur;
   std::vector<const PNode*> target;  ///< scratch for switch_to
   ConfigKey scratch;                 ///< child-key scratch for expand
+  ConfigKey renamed;  ///< canonicalization's scratch for renamed keys
   std::vector<ReductionContext::Step> steps;  ///< scratch for expand
   Engine::UndoRecord undo;                    ///< scratch for expand
 
@@ -215,7 +216,8 @@ class ParallelExplorer {
     {
       ConfigKey key;
       if (ctx_) {
-        ctx_->canonical_node_key_into(*canonical_root_, key, nullptr);
+        ConfigKey renamed;
+        ctx_->canonical_node_key_into(*canonical_root_, key, renamed, nullptr);
       } else {
         canonical_root_->config_key_into(key);
       }
@@ -403,7 +405,7 @@ class ParallelExplorer {
         const Engine::CommitInfo commit = e.apply(step.p, c, w.undo);
         int applied = -1;
         if (ctx_) {
-          ctx_->canonical_node_key_into(e, w.scratch, &applied);
+          ctx_->canonical_node_key_into(e, w.scratch, w.renamed, &applied);
         } else {
           e.config_key_into(w.scratch);
         }

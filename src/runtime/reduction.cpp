@@ -225,10 +225,10 @@ void ReductionContext::steps_into(const Engine& e, std::vector<Step>& out) {
 }
 
 void ReductionContext::canonical_node_key_into(Engine& e, ConfigKey& out,
+                                               ConfigKey& scratch,
                                                int* applied) const {
   e.config_key_into(out);
   int best_idx = -1;
-  ConfigKey scratch;
   for (std::size_t idx = 0; idx < renamings_.size(); ++idx) {
     e.config_key_into(scratch, renamings_[idx]);
     if (scratch.words < out.words) {

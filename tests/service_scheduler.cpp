@@ -18,8 +18,10 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <numeric>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -626,6 +628,114 @@ TEST(JobScheduler, DeadlineLeavesAPartialCheckpointAndResubmissionResumes) {
     EXPECT_EQ(m.completed, 1u);
     EXPECT_EQ(m.resumed_jobs, 1u);
     EXPECT_EQ(m.cancelled, 0u);
+  }
+  std::filesystem::remove_all(root);
+}
+
+/// The `root<vec>` subdirectories a consensus job left in `dir`, as vectors.
+std::vector<int> checkpointed_roots(const std::string& dir) {
+  std::vector<int> roots;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (entry.is_directory() && name.starts_with("root")) {
+      roots.push_back(std::stoi(name.substr(4)));
+    }
+  }
+  std::ranges::sort(roots);
+  return roots;
+}
+
+TEST(JobScheduler, CheckpointsOnlyOrbitRepresentatives) {
+  // A consensus job explores one input vector per symmetry orbit, so only
+  // the representatives leave a `root<vec>` checkpoint directory: cas(4)'s
+  // orbits are the vectors with 0..4 ones, least members 0, 1, 3, 7, 15;
+  // cas_ids(4) has no symmetry and checkpoints all 16 roots.
+  const std::string root = ::testing::TempDir() + "wfregs_sched_orbits_" +
+                           std::to_string(::getpid());
+  std::filesystem::remove_all(root);
+  std::vector<int> all(16);
+  std::iota(all.begin(), all.end(), 0);
+  const std::vector<
+      std::tuple<std::string, std::shared_ptr<const Implementation>,
+                 std::vector<int>>>
+      cases = {{"cas4", consensus::from_cas(4), {0, 1, 3, 7, 15}},
+               {"cas_ids4", consensus::from_cas_ids(4), all}};
+  for (const auto& [name, impl, want] : cases) {
+    VerifyOptions options;
+    options.threads = 1;
+    options.storage.checkpoint_dir = root + "/" + name;
+    const consensus::ConsensusCheckResult r =
+        consensus::check_consensus(impl, options);
+    EXPECT_TRUE(r.solves) << name << ": " << r.detail;
+    EXPECT_EQ(checkpointed_roots(options.storage.checkpoint_dir), want)
+        << name;
+  }
+
+  // cas(5) cut by its deadline while representative 3 (the first vector
+  // with two ones) is mid-exploration: representatives 0 and 1 are banked
+  // as finished, and vectors 2, 4, 8 and 16 were credited to 1 and have no
+  // directory.  The resubmission resumes the finished representatives as
+  // complete, credits their orbits again and gives the bytes of an
+  // uncheckpointed run.
+  VerifyJob job;
+  job.kind = JobKind::kConsensus;
+  job.impl = consensus::from_cas(5);
+  SchedulerOptions options = one_worker();
+  options.storage.checkpoint_dir = root + "/jobs";
+  options.storage.checkpoint_every_configs = 1;
+  const std::string job_dir =
+      options.storage.checkpoint_dir + "/" + job_key_hex(job_key(job));
+  {
+    SchedulerOptions deadline_options = options;
+    deadline_options.default_deadline = 1ms;
+    const JobScheduler::Runner runner =
+        [&options](const VerifyJob& j, const std::atomic<bool>& deadline) {
+          std::atomic<bool> cut{false};
+          // Declared after `cut`: the jthread stops and joins first.
+          const std::jthread watcher([&](const std::stop_token& stop) {
+            const std::string root3 = j.options.storage.checkpoint_dir +
+                                      "/root3";
+            while (!stop.stop_requested()) {
+              if (deadline.load() &&
+                  storage::FrontierCheckpoint::info(root3).present) {
+                cut.store(true);
+                return;
+              }
+              std::this_thread::sleep_for(100us);
+            }
+          });
+          return JobScheduler::default_runner(options.explore_threads)(j,
+                                                                       cut);
+        };
+    JobScheduler sched(deadline_options, runner);
+    const Verdict v = sched.submit(job).result.get();
+    ASSERT_FALSE(v.complete)
+        << "the cut missed representative 3; the workload is too small for "
+           "this machine";
+    EXPECT_TRUE(v.checkpointed);
+    EXPECT_TRUE(storage::FrontierCheckpoint::info(job_dir + "/root1").finished);
+    EXPECT_FALSE(
+        storage::FrontierCheckpoint::info(job_dir + "/root3").finished);
+    // Every vector after the cut is explored (and cancelled at its root),
+    // since its representative did not finish; only the members of 0's and
+    // 1's orbits were credited.
+    std::vector<int> want;
+    for (int vec = 0; vec < 32; ++vec) {
+      if (std::popcount(static_cast<unsigned>(vec)) != 1 || vec == 1) {
+        want.push_back(vec);
+      }
+    }
+    EXPECT_EQ(checkpointed_roots(job_dir), want);
+  }
+  {
+    JobScheduler sched(options);
+    const Verdict v = sched.submit(job).result.get();
+    EXPECT_TRUE(v.complete);
+    EXPECT_TRUE(v.ok);
+    EXPECT_TRUE(v.resumed);
+    const std::atomic<bool> no_cancel{false};
+    const Verdict fresh = JobScheduler::default_runner(1)(job, no_cancel);
+    EXPECT_TRUE(encode_verdict(v) == encode_verdict(fresh));
   }
   std::filesystem::remove_all(root);
 }
