@@ -1,29 +1,7 @@
 #!/usr/bin/env python3
 """CI gates over the BENCH_*.json benchmark outputs (stdlib only).
 
-Default mode (the historical e11 gate):
-
-    check_bench_regression.py <BENCH_e11_reduction.json> <baseline.json>
-
-Two checks, both on the deterministic ``configs`` counters (never on
-wall-clock, which is noise on shared CI runners):
-
-1. Per-benchmark regression: a run whose configs count exceeds the
-   checked-in baseline by more than ``tolerance`` (10%) fails.  Counts are
-   exact for a given (workload, reduction mode), so any growth means the
-   symmetry reduction lost pruning power -- the 10% headroom only absorbs
-   intentional small workload tweaks that forgot a baseline refresh.  The
-   bench has a none row and a sleep+symmetry row per workload; ``sleep``
-   explores exactly like none, so it has no rows.
-2. Aggregate headline: summed over the protocol zoo, reduction=none must
-   visit at least ``min_aggregate_ratio`` (3x) more configurations than
-   reduction=sleep+symmetry (symmetry alone).
-
-Improvements (counts below baseline) pass with a note suggesting a baseline
-refresh; benchmarks missing from the baseline warn but do not fail, so a new
-workload can land one PR ahead of its baseline entry.
-
-Suite mode (the e12 compiled-core gate):
+Usage (e.g. the e12 compiled-core gate):
 
     check_bench_regression.py --suite e12_compiled_core \\
         <BENCH_e12_compiled_core.json> <baseline.json>
@@ -71,55 +49,6 @@ def load_run(path):
         print(f"FAIL: no benchmarks found in {path}")
         sys.exit(1)
     return run
-
-
-def check_default(run, baseline):
-    """The historical e11 gate: tolerant configs counts + aggregate ratio."""
-    configs = {name: b["configs"] for name, b in run.items() if "configs" in b}
-    if not configs:
-        print("FAIL: no 'configs' counters found in run")
-        return 1
-    tolerance = baseline.get("tolerance", 0.10)
-    min_ratio = baseline.get("min_aggregate_ratio", 3.0)
-    base_configs = baseline["configs"]
-
-    failed = False
-    for name, base in sorted(base_configs.items()):
-        if name not in configs:
-            print(f"FAIL: baseline benchmark missing from run: {name}")
-            failed = True
-            continue
-        got = configs[name]
-        limit = base * (1.0 + tolerance)
-        if got > limit:
-            print(f"FAIL: {name}: configs {got:.0f} > baseline {base} "
-                  f"(+{100 * (got / base - 1):.1f}%, tolerance "
-                  f"{100 * tolerance:.0f}%)")
-            failed = True
-        elif got < base:
-            print(f"ok:   {name}: configs {got:.0f} improved on baseline "
-                  f"{base} -- consider refreshing bench/baseline.json")
-        else:
-            print(f"ok:   {name}: configs {got:.0f} (baseline {base})")
-    for name in sorted(set(configs) - set(base_configs)):
-        print(f"warn: {name} has no baseline entry -- add it to "
-              f"bench/baseline.json")
-
-    none_total = sum(v for k, v in configs.items()
-                     if k.endswith("/none/real_time"))
-    red_total = sum(v for k, v in configs.items()
-                    if k.endswith("/sleep+symmetry/real_time"))
-    if red_total <= 0:
-        print("FAIL: no sleep+symmetry benchmarks in run")
-        return 1
-    ratio = none_total / red_total
-    verdict = "ok:  " if ratio >= min_ratio else "FAIL:"
-    print(f"{verdict} aggregate configs none/sleep+symmetry = "
-          f"{none_total:.0f}/{red_total:.0f} = {ratio:.2f}x "
-          f"(required >= {min_ratio}x)")
-    if ratio < min_ratio:
-        failed = True
-    return 1 if failed else 0
 
 
 def check_suite(run, suite, suite_name):
@@ -225,22 +154,14 @@ def check_suite(run, suite, suite_name):
 
 
 def main(argv):
-    suite_name = None
     args = list(argv[1:])
-    if args and args[0] == "--suite":
-        if len(args) < 2:
-            print(__doc__)
-            return 2
-        suite_name = args[1]
-        args = args[2:]
-    if len(args) != 2:
+    if len(args) != 4 or args[0] != "--suite":
         print(__doc__)
         return 2
-    run = load_run(args[0])
-    with open(args[1]) as f:
+    suite_name = args[1]
+    run = load_run(args[2])
+    with open(args[3]) as f:
         baseline = json.load(f)
-    if suite_name is None:
-        return check_default(run, baseline)
     suites = baseline.get("suites", {})
     if suite_name not in suites:
         print(f"FAIL: baseline has no suites.{suite_name} section")

@@ -33,11 +33,10 @@
 // explorer on N worker threads (0 = hardware concurrency, 1 = sequential).
 // A leading `--static-precheck` runs the wfregs-lint discipline passes on
 // every implementation before exploring it, failing fast on violations.
-// A leading `--reduction none|sleep|sleep+symmetry` picks the reduction of
-// every exploration (see runtime/reduction.hpp): `sleep+symmetry` explores
-// one configuration per process-symmetry orbit, so verdicts are unchanged
-// and configuration counts shrink; `sleep` explores exactly like `none` and
-// is kept only as a job-text spelling.  A leading `--json`
+// A leading `--reduction none|sleep|sleep+symmetry` picks the reduction
+// spelling of every job (see runtime/reduction.hpp).  All three explore the
+// same graph and give the same verdict; the spelling is job text, so each
+// gives its own job key.  A leading `--json`
 // switches verify/check verdict output to one JSON object per job (the same
 // encoding the daemon replies with); `--server <endpoint>` routes verify /
 // submit / check / stats / shutdown to a running wfregsd -- the endpoint
@@ -686,7 +685,7 @@ int main(int argc, char** argv) {
       } else {
         std::cerr
             << "error: --reduction wants none|sleep|sleep+symmetry "
-               "(sleep explores like none)\n";
+               "(all explore like none)\n";
         return kExitUsage;
       }
       g_reduction_set = true;
@@ -746,9 +745,9 @@ int main(int argc, char** argv) {
                  "zoo|print|classify|oneuse|hierarchy|eliminate|make-job|"
                  "verify|submit|check|stats|shutdown|store-merge|"
                  "checkpoint-info ...\n"
-                 "  --reduction MODE: none, sleep+symmetry (one configuration "
-                 "per process-symmetry orbit), or sleep (explores like none; "
-                 "kept as a job-text spelling)\n";
+                 "  --reduction MODE: none, sleep or sleep+symmetry; job-text "
+                 "spellings that all explore like none (a consensus job "
+                 "always explores one input vector per symmetry orbit)\n";
     return kExitUsage;
   }
   const std::string cmd = argv[1];

@@ -63,7 +63,8 @@ struct ConsensusCheckResult {
   /// within a root before maximizing across roots -- e.g. "writes of any
   /// value" per execution.  A vector credited to its orbit representative
   /// (see check_consensus) holds a copy of the representative's stats,
-  /// which equal its own.  Filled only when limits.track_access_bounds.
+  /// which equal its own.  Filled only when limits.track_access_bounds; a
+  /// cancelled job ends at the cancelled root, so it has fewer entries.
   std::vector<ExploreStats> per_root;
 };
 
@@ -120,11 +121,12 @@ std::shared_ptr<System> consensus_scenario(
 /// (ScenarioTemplate::orbit_representatives) was explored completely,
 /// wait-free and without a violation is not explored: it is credited with
 /// the representative's stats, which its isomorphic graph would reproduce
-/// exactly (every reduction mode is renaming-invariant).  Every other
-/// vector is explored, so each member of a violating, cyclic, limit-hit or
-/// cancelled orbit runs and `detail` names the first violating vector.  A
-/// credited vector writes no `root<vec>` checkpoint directory; on resume
-/// its representative's final snapshot credits it again.
+/// exactly.  Every other vector is explored, so each member of a violating,
+/// cyclic or limit-hit orbit runs and `detail` names the first violating
+/// vector.  A cancelled job (limits.cancel set) stops at the root that saw
+/// the cancel: later vectors are neither explored nor credited.  A credited
+/// vector writes no `root<vec>` checkpoint directory; on resume its
+/// representative's final snapshot credits it again.
 ConsensusCheckResult check_consensus(
     std::shared_ptr<const Implementation> impl,
     const VerifyOptions& options = {});

@@ -26,8 +26,6 @@
 
 namespace wfregs {
 
-struct ProcessRenaming;  // reduction.hpp
-
 /// Hashable, equality-comparable snapshot of an engine configuration.
 /// Excludes the history and access counters (path data, not state).
 ///
@@ -41,8 +39,7 @@ struct ProcessRenaming;  // reduction.hpp
 ///   * distinct field sequences never share words, padding included (the
 ///     terminator says where the code ends);
 ///   * comparing keys as word vectors (unsigned, lexicographic) orders them
-///     exactly as their field sequences, which is what lets process-symmetry
-///     reduction pick the least renamed key as the orbit representative.
+///     exactly as their field sequences.
 /// Most fields are small, so a key takes about one word per eight fields.
 struct ConfigKey {
   std::vector<std::uint64_t> words;
@@ -128,21 +125,6 @@ class Engine {
   /// As config_key(), writing into `key` (cleared first) so the explorers
   /// can reuse one buffer across millions of nodes.
   void config_key_into(ConfigKey& key) const;
-  /// Renamed-view variant (see config_key(const ProcessRenaming&)).
-  void config_key_into(ConfigKey& key, const ProcessRenaming& r) const;
-
-  /// The configuration key of the renamed configuration (the key this
-  /// engine would have after apply_renaming(r)), computed without copying
-  /// the engine.  Process-symmetry reduction calls this once per group
-  /// element to pick the orbit-minimal representative.
-  ConfigKey config_key(const ProcessRenaming& r) const;
-
-  /// Rewrites this configuration in place under a process renaming:
-  /// permutes process states, per-port persistent blocks and history
-  /// process/port ids, and rewrites the port of every held handle.  `r`
-  /// must come from symmetry_renamings(system()): the renamed configuration
-  /// is then a reachable configuration of the same system.
-  void apply_renaming(const ProcessRenaming& r);
 
  private:
   struct Frame {
@@ -178,7 +160,6 @@ class Engine {
   std::vector<Handle> inner_env(const System::VirtualObject& v,
                                 PortId port) const;
   void check_proc(ProcId p) const;
-  void emit_key(ConfigKey& key, const ProcessRenaming* renaming) const;
 
   std::shared_ptr<const System> sys_;
   /// Dense, construction-order-stable id for every ProgramCode reachable

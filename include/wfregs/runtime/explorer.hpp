@@ -53,27 +53,12 @@
 //     history-derived violation MESSAGE TEXT (not presence) may describe a
 //     different path than the sequential explorer's.
 //
-// REDUCTION (ExploreOptions::reduction) prunes the exploration without
-// changing any verdict (see reduction.hpp for the machinery and the
-// soundness argument):
-//
-//   * kNone explores the plain configuration graph, with no renaming.
-//   * kSleep is a job-text spelling kept for stored jobs: it explores
-//     exactly like kNone, bit for bit.
-//   * kSleepSymmetry canonicalizes every node to the minimal representative
-//     of its process-symmetry orbit.  Wait-freedom, violation presence,
-//     depth and access bounds are preserved, while configs / edges /
-//     terminals count the REDUCED node graph (that shrinkage is the point
-//     -- its counters are comparable only to other symmetry-reduced runs).
-//     The engine a TerminalCheck sees is a renamed -- but real and
-//     reachable -- execution, so checks must not name specific processes
-//     (all checks in this library are renaming-invariant).
-//   * Reduced runs are deterministic at any thread count: sequential and
-//     parallel reduced explorations build the same node graph and report
-//     identical stats (the parallel post-pass replays it canonically).
-//   * Under a limit hit or cancellation, reduced counters are, as in the
-//     unreduced parallel case, valid lower bounds of the completed reduced
-//     run's counters.
+// REDUCTION.  The explorers always walk the plain configuration graph:
+// there is no per-node renaming, and a TerminalCheck sees the execution
+// exactly as it ran.  The one reduction in the library sits above them:
+// check_consensus explores one input vector per process-symmetry orbit
+// (wfregs/consensus/check.hpp, wfregs/runtime/reduction.hpp).  The job-text
+// spellings of VerifyOptions::reduction all explore this same graph.
 #pragma once
 
 #include <atomic>
@@ -173,17 +158,16 @@ struct ExploreOutcome {
 using TerminalCheck =
     std::function<std::optional<std::string>(const Engine&)>;
 
-/// Exploration limits plus the reduction mode (see REDUCTION above).
+/// Exploration limits plus storage settings.
 struct ExploreOptions {
   ExploreLimits limits;
-  Reduction reduction = Reduction::kNone;
   /// Out-of-core storage: memory budget + spill directory for the interned
   /// configuration store, and crash-safe checkpoint/resume of the
   /// exploration frontier (see wfregs/storage/options.hpp).  When
   /// storage.enabled(), the sequential explorer keeps its keys in a
-  /// spillable delta-coded store instead of RAM, with identical outcomes in
-  /// every mode; parallel entry points then run it too, since their
-  /// contract is already "identical to sequential".
+  /// spillable delta-coded store instead of RAM, with identical outcomes;
+  /// parallel entry points then run it too, since their contract is already
+  /// "identical to sequential".
   storage::StorageOptions storage{};
 };
 
@@ -192,9 +176,8 @@ struct ExploreOptions {
 ExploreOutcome explore(const Engine& root, const ExploreLimits& limits = {},
                        const TerminalCheck& check = {});
 
-/// As above, with a reduction mode and storage settings.
-/// options.reduction == kNone (or kSleep) is bit-identical to
-/// explore(root, options.limits, check).
+/// As above, with storage settings.  Without storage this is
+/// explore(root, options.limits, check), bit for bit.
 ExploreOutcome explore(const Engine& root, const ExploreOptions& options,
                        const TerminalCheck& check = {});
 
@@ -208,10 +191,7 @@ ExploreOutcome explore_parallel(const Engine& root,
                                 const ExploreLimits& limits = {},
                                 int n_threads = 0);
 
-/// As above, with a reduction mode: node identities are canonicalized
-/// before claiming, so the reduced node graph -- and, when discovery
-/// completes, every counter -- matches the sequential reduced explorer at
-/// any thread count.
+/// As above, with storage settings; storage.enabled() runs explore().
 ExploreOutcome explore_parallel(const Engine& root, const TerminalCheck& check,
                                 const ExploreOptions& options,
                                 int n_threads = 0);
@@ -256,8 +236,8 @@ struct VerifyOptions {
   /// and regularity verifiers.
   std::function<std::optional<StaticConsensusDecision>(const Implementation&)>
       static_consensus;
-  /// Reduction mode for every exploration the verifier runs (see REDUCTION
-  /// above); kNone preserves historical behaviour bit for bit.
+  /// The job's reduction spelling.  Job text only: every spelling explores
+  /// the same graph and gives the same result (see REDUCTION above).
   Reduction reduction = Reduction::kNone;
   /// Out-of-core storage settings, passed to every exploration the verifier
   /// runs.  Like `threads`, storage is an execution parameter, never job

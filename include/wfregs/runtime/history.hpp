@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -38,14 +37,6 @@ class History {
   int begin_op(ProcId proc, ObjectId object, PortId port, InvId inv,
                std::size_t time);
   void end_op(int op_id, Val response, std::size_t time);
-
-  /// Rewrites process and port ids in place.  Process-symmetry reduction
-  /// renames configurations to orbit representatives; renaming the recorded
-  /// path along with them keeps the history consistent -- it is then the
-  /// history of the renamed execution, which is a real execution of the
-  /// same system.
-  void rename(const std::function<ProcId(ProcId)>& proc_map,
-              const std::function<PortId(ObjectId, PortId)>& port_map);
 
   // ---- undo support (Engine::revert) -------------------------------------
 

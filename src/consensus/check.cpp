@@ -31,9 +31,10 @@ ScenarioTemplate::ScenarioTemplate(
   for (PortId p = 0; p < n; ++p) ports.push_back(p);
   object_ = system_.add_implemented(std::move(impl), ports);
   // One program per distinct input VALUE, shared by every process proposing
-  // it.  Process symmetry compares toplevel programs by pointer, so sharing
-  // (rather than building an identical per-process copy) is what lets
-  // Reduction::kSleepSymmetry treat same-input processes as interchangeable.
+  // it.  symmetry_renamings compares toplevel programs by pointer, so sharing
+  // (rather than building an identical per-process copy) is what makes
+  // same-input processes interchangeable, and the input vectors fall into
+  // orbits (orbit_representatives).
   for (int v = 0; v < 2; ++v) {
     ProgramBuilder b;
     b.invoke(0, lit(v), 0);  // propose(v) is invocation id `v`
@@ -196,7 +197,7 @@ ConsensusCheckResult check_consensus(
       return std::nullopt;
     };
     const Engine root{std::move(sys)};
-    ExploreOptions explore_options{limits, options.reduction};
+    ExploreOptions explore_options{limits};
     explore_options.storage = options.storage;
     if (!options.storage.checkpoint_dir.empty()) {
       // One checkpoint per explored input vector: the roots are independent
@@ -233,6 +234,13 @@ ConsensusCheckResult check_consensus(
       if (result.detail.empty()) {
         result.detail = out.wait_free ? "exploration exceeded limits"
                                       : "not wait-free (configuration cycle)";
+      }
+      // A cancelled job stops at the cancelled root: every later root would
+      // be cancelled at its own root node (and, checkpointed, leave a
+      // directory behind).  A max_configs cut goes on to the later roots.
+      if (!out.complete && limits.cancel &&
+          limits.cancel->load(std::memory_order_relaxed)) {
+        break;
       }
     } else if (rep == vec && !clean.empty()) {
       clean[static_cast<std::size_t>(vec)] = std::move(out.stats);

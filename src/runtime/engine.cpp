@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "wfregs/runtime/config_intern.hpp"
-#include "wfregs/runtime/reduction.hpp"
 
 namespace wfregs {
 
@@ -384,45 +383,24 @@ int Engine::stack_depth(ProcId p) const {
   return static_cast<int>(procs_[static_cast<std::size_t>(p)].stack.size());
 }
 
-void Engine::emit_key(ConfigKey& key, const ProcessRenaming* renaming) const {
+void Engine::config_key_into(ConfigKey& key) const {
+  key.words.clear();
   KeyPacker w(key.words);
   const auto put = [&w](auto v) { w.put(static_cast<std::uint64_t>(v)); };
-  const auto mapped = [renaming](ObjectId g, PortId port) -> PortId {
-    return renaming ? renaming->map_port(g, port) : port;
-  };
   for (ObjectId g = 0; g < sys_->num_objects(); ++g) {
     if (sys_->is_base(g)) {
       put(object_state_[static_cast<std::size_t>(g)]);
     } else {
-      const auto& block = persistent_[static_cast<std::size_t>(g)];
-      const auto* old_port =
-          renaming && !renaming->old_port[static_cast<std::size_t>(g)].empty()
-              ? &renaming->old_port[static_cast<std::size_t>(g)]
-              : nullptr;
-      if (!old_port || block.empty()) {
-        for (const Val v : block) put(v);
-      } else {
-        // Renamed view: the block of new port j is old port old_port[j]'s.
-        const std::size_t persist = block.size() / old_port->size();
-        for (const PortId old : *old_port) {
-          for (std::size_t k = 0; k < persist; ++k) {
-            put(block[static_cast<std::size_t>(old) * persist + k]);
-          }
-        }
-      }
+      for (const Val v : persistent_[static_cast<std::size_t>(g)]) put(v);
     }
   }
-  for (std::size_t pp = 0; pp < procs_.size(); ++pp) {
-    const Proc& proc =
-        procs_[renaming
-                   ? static_cast<std::size_t>(renaming->old_proc[pp])
-                   : pp];
+  for (const Proc& proc : procs_) {
     put(proc.finished ? 1 : 0);
     put(proc.result ? static_cast<std::uint64_t>(*proc.result) + 1 : 0);
     put(proc.pending ? 1 : 0);
     if (proc.pending) {
       put(proc.pending->handle.gid);
-      put(mapped(proc.pending->handle.gid, proc.pending->handle.port));
+      put(proc.pending->handle.port);
       put(proc.pending->inv);
       put(proc.pending->result_reg);
     }
@@ -439,7 +417,7 @@ void Engine::emit_key(ConfigKey& key, const ProcessRenaming* renaming) const {
       // env is determined by (code, port context) but is cheap to include:
       for (const Handle& h : f.env) {
         put(h.gid);
-        put(mapped(h.gid, h.port) + 1);
+        put(h.port + 1);
       }
       // op_id is deliberately excluded: it indexes the history, which is
       // path data, not configuration state.
@@ -450,63 +428,8 @@ void Engine::emit_key(ConfigKey& key, const ProcessRenaming* renaming) const {
 
 ConfigKey Engine::config_key() const {
   ConfigKey key;
-  emit_key(key, nullptr);
+  config_key_into(key);
   return key;
-}
-
-ConfigKey Engine::config_key(const ProcessRenaming& r) const {
-  ConfigKey key;
-  emit_key(key, &r);
-  return key;
-}
-
-void Engine::config_key_into(ConfigKey& key) const {
-  key.words.clear();
-  emit_key(key, nullptr);
-}
-
-void Engine::config_key_into(ConfigKey& key, const ProcessRenaming& r) const {
-  key.words.clear();
-  emit_key(key, &r);
-}
-
-void Engine::apply_renaming(const ProcessRenaming& r) {
-  std::vector<Proc> renamed(procs_.size());
-  for (std::size_t p = 0; p < procs_.size(); ++p) {
-    Proc& dst = renamed[static_cast<std::size_t>(r.proc_map[p])];
-    dst = std::move(procs_[p]);
-    if (dst.pending) {
-      dst.pending->handle.port =
-          r.map_port(dst.pending->handle.gid, dst.pending->handle.port);
-    }
-    for (Frame& f : dst.stack) {
-      for (Handle& h : f.env) h.port = r.map_port(h.gid, h.port);
-      if (f.persist_gid >= 0) {
-        f.persist_port = r.map_port(f.persist_gid, f.persist_port);
-      }
-    }
-  }
-  procs_ = std::move(renamed);
-  for (ObjectId g = 0; g < sys_->num_objects(); ++g) {
-    if (sys_->is_base(g)) continue;
-    auto& block = persistent_[static_cast<std::size_t>(g)];
-    const auto& old_port = r.old_port[static_cast<std::size_t>(g)];
-    if (block.empty() || old_port.empty()) continue;
-    const std::size_t persist = block.size() / old_port.size();
-    std::vector<Val> permuted(block.size());
-    for (std::size_t port = 0; port < old_port.size(); ++port) {
-      std::copy_n(block.begin() +
-                      static_cast<std::ptrdiff_t>(
-                          static_cast<std::size_t>(old_port[port]) * persist),
-                  static_cast<std::ptrdiff_t>(persist),
-                  permuted.begin() +
-                      static_cast<std::ptrdiff_t>(port * persist));
-    }
-    block = std::move(permuted);
-  }
-  history_.rename(
-      [&r](ProcId p) { return r.proc_map[static_cast<std::size_t>(p)]; },
-      [&r](ObjectId g, PortId port) { return r.map_port(g, port); });
 }
 
 }  // namespace wfregs

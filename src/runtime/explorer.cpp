@@ -1,5 +1,5 @@
-// The sequential explorer: one explicit-stack DFS behind explore() in every
-// reduction mode and under every storage setting.
+// The sequential explorer: one explicit-stack DFS behind explore() under
+// every storage setting.
 //
 // A single undo-journaled engine walks the configuration tree.  Each step
 // is applied with Engine::apply() on the way down and rolled back with
@@ -18,19 +18,13 @@
 //     SpillArena obeying storage.memory_budget_bytes;
 //   * checkpointing runs only when storage.checkpoint_dir is set.
 //
-// Only kSleepSymmetry builds a ReductionContext; kNone and kSleep take the
-// same path, on which no renaming is ever applied.
-//
 // ORDER CONTRACT.  Memo lookup precedes the cycle abort, which precedes the
 // limit/cancel check, which precedes the intern + configs increment;
 // children are enumerated in ascending process order with nondeterministic
-// choices inner; edges are counted before each step; under symmetry the
-// engine is canonicalized in place at node entry and un-renamed on every
-// exit path -- memo hits and limit aborts included -- before control
-// returns to the parent, whose revert() assumes the engine is exactly as
-// its apply() left it.  The abort outcomes of this order are pinned as
-// golden values in tests/compiled_core.cpp, and complete runs are held to
-// an independent naive oracle there (tests/explore_oracle.hpp).
+// choices inner; edges are counted before each step.  The abort outcomes of
+// this order are pinned as golden values in tests/compiled_core.cpp, and
+// complete runs are held to an independent naive oracle there
+// (tests/explore_oracle.hpp).
 //
 // CHECKPOINT POINTS.  A periodic snapshot is written right after a frame
 // push (the new top frame pending at its first step); an interrupt snapshot
@@ -52,6 +46,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "explorer_steps.hpp"
 #include "wfregs/runtime/config_intern.hpp"
 #include "wfregs/storage/checkpoint.hpp"
 #include "wfregs/storage/ooc_interner.hpp"
@@ -80,14 +75,13 @@ struct Frame {
   std::uint32_t id = 0;
   Info info;
   /// Enabled steps in ascending process order.
-  std::vector<ReductionContext::Step> steps;
+  std::vector<detail::Step> steps;
   std::size_t step_idx = 0;
   int choice = 0;
-  int applied_renaming = -1;     ///< entry canonicalization, undone at pop
   Engine::UndoRecord undo;       ///< journal of the in-flight child step
   Engine::CommitInfo commit;     ///< commit info of the in-flight step
   bool in_flight = false;
-  /// This node's canonical key words; kept only when the key store spills
+  /// This node's key words; kept only when the key store spills
   /// (the delta codec encodes each child against its parent's words).
   std::vector<std::uint64_t> key;
   int depth = 0;                 ///< == stack index
@@ -169,9 +163,6 @@ class SequentialExplorer {
       }
       acc_len_ = static_cast<std::size_t>(num_objects_);
       inv_len_ = inv_offset_.back();
-    }
-    if (options_.reduction == Reduction::kSleepSymmetry) {
-      ctx_ = std::make_unique<ReductionContext>(sys);
     }
 
     engine_.emplace(root);
@@ -336,12 +327,7 @@ class SequentialExplorer {
       leaf_ = leaf();
       return;
     }
-    int applied = -1;
-    if (ctx_) {
-      ctx_->canonical_node_key_into(*engine_, scratch_, renamed_, &applied);
-    } else {
-      engine_->config_key_into(scratch_);
-    }
+    engine_->config_key_into(scratch_);
     const std::uint64_t hash = config_hash_words(scratch_.words);
     if (const std::uint32_t hit = memo_.find(scratch_.words, hash);
         hit != KeyStore::kNotFound) {
@@ -356,13 +342,11 @@ class SequentialExplorer {
       } else {
         leaf_ = node_info(hit);
       }
-      if (applied >= 0) ctx_->undo_renaming(*engine_, applied);
       return;
     }
     if (depth > limits_.max_depth ||
         outcome_.stats.configs >= limits_.max_configs ||
         (limits_.cancel && limits_.cancel->load(std::memory_order_relaxed))) {
-      if (applied >= 0) ctx_->undo_renaming(*engine_, applied);
       interrupt_checkpoint();
       outcome_.complete = false;
       aborted_ = true;
@@ -390,14 +374,12 @@ class SequentialExplorer {
       }
       set_node(id, info);
       leaf_ = std::move(info);
-      if (applied >= 0) ctx_->undo_renaming(*engine_, applied);
       return;
     }
     Frame& f = push_frame();
     f.id = id;
     f.info = std::move(info);
-    ReductionContext::steps_into(*engine_, f.steps);
-    f.applied_renaming = applied;
+    detail::steps_into(*engine_, f.steps);
     f.depth = depth;
     if (memo_.spills()) {
       f.key.assign(scratch_.words.begin(), scratch_.words.end());
@@ -409,16 +391,12 @@ class SequentialExplorer {
     }
   }
 
-  /// Retires the top frame: publishes its DP row, hands its Info to the
-  /// parent through leaf_, and inverts its entry canonicalization, aborted
-  /// or not.
+  /// Retires the top frame: publishes its DP row and hands its Info to the
+  /// parent through leaf_, aborted or not.
   void pop() {
     Frame& f = top();
     set_node(f.id, f.info);
     leaf_ = std::move(f.info);
-    if (f.applied_renaming >= 0) {
-      ctx_->undo_renaming(*engine_, f.applied_renaming);
-    }
     --live_;
   }
 
@@ -428,9 +406,8 @@ class SequentialExplorer {
     ConfigKey rk;
     root.config_key_into(rk);
     std::vector<std::uint64_t> words;
-    words.reserve(rk.words.size() + 3);
+    words.reserve(rk.words.size() + 2);
     words.push_back(0x5746524547465031ull);  // salt
-    words.push_back(static_cast<std::uint64_t>(options_.reduction));
     words.push_back((limits_.track_access_bounds ? 1u : 0u) |
                     (static_cast<std::uint64_t>(
                          static_cast<std::uint32_t>(limits_.max_depth))
@@ -536,28 +513,22 @@ class SequentialExplorer {
     last_checkpoint_configs_ = snap.configs;
 
     // Rebuild the engine and the frame stack by replaying the in-flight
-    // steps; canonicalization re-runs deterministically, and every replayed
-    // node key is checked against the interned manifest.
+    // steps; every replayed node key is checked against the interned
+    // manifest.
     engine_.emplace(root);
     std::vector<std::uint64_t> expect;
     for (std::size_t k = 0; k < snap.frames.size(); ++k) {
       const FrameSnap& fs = snap.frames[k];
-      int applied = -1;
-      if (ctx_) {
-        ctx_->canonical_node_key_into(*engine_, scratch_, renamed_, &applied);
-      } else {
-        engine_->config_key_into(scratch_);
-      }
+      engine_->config_key_into(scratch_);
       memo_.ooc().decode_into(fs.id, expect);
       if (expect != scratch_.words) {
         throw std::runtime_error("checkpoint resume: replay diverged");
       }
       Frame& f = push_frame();
       f.id = fs.id;
-      f.applied_renaming = applied;
       f.depth = static_cast<int>(k);
       f.key = scratch_.words;
-      ReductionContext::steps_into(*engine_, f.steps);
+      detail::steps_into(*engine_, f.steps);
       f.step_idx = fs.step_idx;
       f.choice = fs.choice;
       f.info.depth_from = fs.depth_from;
@@ -658,8 +629,6 @@ class SequentialExplorer {
   const ExploreOptions& options_;
   const ExploreLimits& limits_;
   const TerminalCheck& check_;
-  /// Non-null iff options_.reduction == kSleepSymmetry.
-  std::unique_ptr<ReductionContext> ctx_;
   int num_objects_ = 0;
   std::vector<std::size_t> inv_offset_;
   std::size_t acc_len_ = 0;
@@ -672,7 +641,6 @@ class SequentialExplorer {
   /// way down and reverts it on the way up.
   std::optional<Engine> engine_;
   ConfigKey scratch_;
-  ConfigKey renamed_;  ///< canonicalization's scratch for renamed keys
   KeyStore memo_;
   /// Per-id DP rows: depth (-1 = on path) plus flattened access bounds.
   std::vector<std::int32_t> node_depth_;

@@ -9,11 +9,11 @@
 //      repositioning cheap), thieves steal the top (FIFO -- oldest, largest
 //      subtrees).  Each worker owns ONE undo-journaled engine.  The
 //      frontier items are the discovered nodes themselves: each node
-//      records the node that claimed it and the compact (process, choice,
-//      renaming) step from there, so the parent links form the path from
-//      the canonical root.  Popping a node repositions the worker's engine
-//      by reverting to the deepest common ancestor with its previous
-//      position and replaying the suffix.  Expansion applies each outgoing
+//      records the node that claimed it and the compact (process, choice)
+//      step from there, so the parent links form the path from the root.
+//      Popping a node repositions the worker's engine by reverting to the
+//      deepest common ancestor with its previous position and replaying the
+//      suffix.  Expansion applies each outgoing
 //      step with Engine::apply(), claims the child in the lock-free
 //      interner (wfregs/concurrent/interner.hpp: CAS slot reservation plus
 //      two-phase publication; Ref.inserted is true for exactly one claimer
@@ -61,6 +61,7 @@
 #include <utility>
 #include <vector>
 
+#include "explorer_steps.hpp"
 #include "wfregs/concurrent/cacheline.hpp"
 #include "wfregs/concurrent/chunk_arena.hpp"
 #include "wfregs/concurrent/contention.hpp"
@@ -88,13 +89,10 @@ struct PEdge {
 };
 
 /// One compact delta on a root-to-node path: step process `p` with
-/// nondeterministic choice `choice`, then (under symmetry) apply group
-/// renaming `renaming` to canonicalize the resulting configuration (-1 when
-/// canonicalization left the engine untouched).
+/// nondeterministic choice `choice`.
 struct PathStep {
   ProcId p = -1;
   int choice = 0;
-  int renaming = -1;
 };
 
 /// A discovered configuration, which is also its own frontier item and
@@ -119,13 +117,6 @@ struct PNode {
   std::uint32_t post = 0;  ///< postorder index: the node's DP row
 };
 
-/// One applied level of a worker's current path: the undo journal of the
-/// step plus the renaming index applied after it (-1 = none).
-struct AppliedLevel {
-  Engine::UndoRecord undo;
-  int renaming = -1;
-};
-
 // StatsSnapshot counter layout (one writer slot per worker).
 constexpr std::size_t kCtrEdges = 0;
 constexpr std::size_t kCtrTerminals = 1;
@@ -147,13 +138,13 @@ struct Worker {
   ChunkArena& arena;
   ContentionCounters counters;
   std::optional<Engine> engine;
-  std::vector<AppliedLevel> levels;  ///< levels[k] journals cur[k]'s step
+  /// levels[k] journals cur[k]'s step.
+  std::vector<Engine::UndoRecord> levels;
   std::vector<const PNode*> cur;
   std::vector<const PNode*> target;  ///< scratch for switch_to
   ConfigKey scratch;                 ///< child-key scratch for expand
-  ConfigKey renamed;  ///< canonicalization's scratch for renamed keys
-  std::vector<ReductionContext::Step> steps;  ///< scratch for expand
-  Engine::UndoRecord undo;                    ///< scratch for expand
+  std::vector<detail::Step> steps;   ///< scratch for expand
+  Engine::UndoRecord undo;           ///< scratch for expand
 
   /// Publishes everything counted so far as one snapshot record.
   void flush() {
@@ -189,9 +180,6 @@ class ParallelExplorer {
 
   ExploreOutcome run(const Engine& root) {
     const System& sys = root.system();
-    if (options_.reduction == Reduction::kSleepSymmetry) {
-      ctx_ = std::make_unique<ReductionContext>(sys);
-    }
     num_objects_ = sys.num_objects();
     if (limits_.track_access_bounds) {
       inv_offset_.assign(static_cast<std::size_t>(num_objects_) + 1, 0);
@@ -209,18 +197,12 @@ class ParallelExplorer {
       out.complete = false;
       return out;
     }
-    // Canonicalize the root once; every worker's engine starts as a copy of
-    // this representative, and all parent chains end at its node.
-    canonical_root_.emplace(root);
+    // Every worker's engine starts as a copy of the root, and all parent
+    // chains end at its node.
+    root_ = &root;
     PNode* root_node = nullptr;
     {
-      ConfigKey key;
-      if (ctx_) {
-        ConfigKey renamed;
-        ctx_->canonical_node_key_into(*canonical_root_, key, renamed, nullptr);
-      } else {
-        canonical_root_->config_key_into(key);
-      }
+      const ConfigKey key = root.config_key();
       ContentionCounters scratch;
       root_node = interner_
                       .intern(key.words, config_hash_words(key.words),
@@ -305,7 +287,7 @@ class ParallelExplorer {
           continue;
         }
         idle_rounds = 0;
-        if (!w.engine) w.engine.emplace(*canonical_root_);
+        if (!w.engine) w.engine.emplace(*root_);
         switch_to(w, *node);
         expand(w, *node);
         pending_.fetch_sub(1, std::memory_order_acq_rel);
@@ -337,9 +319,7 @@ class ParallelExplorer {
   }
 
   /// Repositions w.engine at `node`: unwind to the deepest common ancestor
-  /// of the current and target paths (inverting each level's renaming
-  /// before reverting its step), then replay the target suffix (applying
-  /// each recorded step and re-applying its recorded renaming index).
+  /// of the current and target paths, then replay the target suffix.
   /// Parent links are immutable and every node is one object, so pointer
   /// equality identifies common ancestors exactly, and the walk costs the
   /// distance between the two nodes, not their depth: one step for the LIFO
@@ -362,29 +342,20 @@ class ParallelExplorer {
     for (auto it = w.target.rbegin(); it != w.target.rend(); ++it) {
       const PNode* n = *it;
       if (w.levels.size() <= w.cur.size()) w.levels.emplace_back();
-      AppliedLevel& lv = w.levels[w.cur.size()];
-      w.engine->apply(n->step.p, n->step.choice, lv.undo);
-      lv.renaming = n->step.renaming;
-      if (lv.renaming >= 0) {
-        ctx_->apply_renaming_index(*w.engine, lv.renaming);
-      }
+      w.engine->apply(n->step.p, n->step.choice, w.levels[w.cur.size()]);
       w.cur.push_back(n);
     }
   }
 
   /// Reverts the deepest applied level of w's current path.
   void unwind(Worker& w) {
-    AppliedLevel& lv = w.levels[w.cur.size() - 1];
-    if (lv.renaming >= 0) ctx_->undo_renaming(*w.engine, lv.renaming);
-    w.engine->revert(lv.undo);
+    w.engine->revert(w.levels[w.cur.size() - 1]);
     w.cur.pop_back();
   }
 
   /// Expands one frontier node, engine already positioned at it, in the
   /// sequential explorer's enumeration order: ascending processes, choices
-  /// inner.  Under symmetry every child is canonicalized in place before
-  /// the claim, so the stored edge order -- replayed by the post-pass --
-  /// matches the sequential reduced explorer.
+  /// inner, which is the edge order the post-pass replays.
   void expand(Worker& w, PNode& node) {
     Engine& e = *w.engine;
     if (e.all_done()) {
@@ -392,26 +363,19 @@ class ParallelExplorer {
       on_terminal(node, e);
       return;
     }
-    ReductionContext::steps_into(e, w.steps);
+    detail::steps_into(e, w.steps);
     std::size_t out_degree = 0;
-    for (const ReductionContext::Step& step : w.steps) {
+    for (const detail::Step& step : w.steps) {
       out_degree += static_cast<std::size_t>(step.width);
     }
     if (out_degree > 0) node.edges = w.arena.allocate_array<PEdge>(out_degree);
-    for (const ReductionContext::Step& step : w.steps) {
+    for (const detail::Step& step : w.steps) {
       for (int c = 0; c < step.width; ++c) {
         if (stopped()) return;
         w.writer.add(kCtrEdges, 1);
         const Engine::CommitInfo commit = e.apply(step.p, c, w.undo);
-        int applied = -1;
-        if (ctx_) {
-          ctx_->canonical_node_key_into(e, w.scratch, w.renamed, &applied);
-        } else {
-          e.config_key_into(w.scratch);
-        }
-        const bool ok =
-            claim_child(w, node, commit, PathStep{step.p, c, applied});
-        if (applied >= 0) ctx_->undo_renaming(e, applied);
+        e.config_key_into(w.scratch);
+        const bool ok = claim_child(w, node, commit, PathStep{step.p, c});
         e.revert(w.undo);
         if (!ok) return;
       }
@@ -433,7 +397,7 @@ class ParallelExplorer {
     }
   }
 
-  /// Claims the child whose (canonical) key is in w.scratch in the
+  /// Claims the child whose key is in w.scratch in the
   /// lock-free interner, records the edge, and enqueues the child on the
   /// claiming worker's own deque when this call won the publication race.
   /// Returns false on a limit abort.
@@ -574,14 +538,11 @@ class ParallelExplorer {
   const ExploreOptions options_;
   const TerminalCheck& check_;
   const int threads_;
-  /// Non-null iff options_.reduction == kSleepSymmetry; built in run()
-  /// once the system is known.
-  std::unique_ptr<ReductionContext> ctx_;
   int num_objects_ = 0;
   std::vector<std::size_t> inv_offset_;
-  /// The canonicalized root configuration; workers copy it lazily on their
-  /// first node.
-  std::optional<Engine> canonical_root_;
+  /// The root configuration (run()'s argument); workers copy it lazily on
+  /// their first node.
+  const Engine* root_ = nullptr;
   /// arenas_[wid]: worker wid's nodes and edge arrays.  Declared before
   /// the interner, which must not outlive its nodes.
   std::unique_ptr<PaddedArena[]> arenas_;

@@ -48,14 +48,6 @@ void History::reopen_op(int op_id) {
   rec.response_time = 0;
 }
 
-void History::rename(const std::function<ProcId(ProcId)>& proc_map,
-                     const std::function<PortId(ObjectId, PortId)>& port_map) {
-  for (OpRecord& rec : ops_) {
-    rec.proc = proc_map(rec.proc);
-    rec.port = port_map(rec.object, rec.port);
-  }
-}
-
 std::vector<OpRecord> History::ops_on(ObjectId object) const {
   std::vector<OpRecord> out;
   for (const OpRecord& rec : ops_) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <utility>
 
 namespace wfregs {
 
@@ -119,23 +118,14 @@ std::vector<ProcessRenaming> symmetry_renamings(const System& sys) {
         }
       }
       if (!valid) break;
-      // Injectivity over assigned targets, then complete the partial map to
-      // a permutation: ports held by no process are inert, so pair leftover
-      // sources with leftover targets in ascending order.
+      // Injectivity over assigned targets.  Ports held by no process are
+      // inert, so they need no image.
       std::vector<char> used(static_cast<std::size_t>(ports), 0);
       for (PortId a = 0; a < ports && valid; ++a) {
         if (!as[static_cast<std::size_t>(a)]) continue;
         const PortId b = m[static_cast<std::size_t>(a)];
         if (used[static_cast<std::size_t>(b)]) valid = false;
         used[static_cast<std::size_t>(b)] = 1;
-      }
-      if (!valid) break;
-      PortId next_free = 0;
-      for (PortId a = 0; a < ports; ++a) {
-        if (as[static_cast<std::size_t>(a)]) continue;
-        while (used[static_cast<std::size_t>(next_free)]) ++next_free;
-        m[static_cast<std::size_t>(a)] = next_free;
-        used[static_cast<std::size_t>(next_free)] = 1;
       }
     }
     if (!valid) continue;
@@ -173,81 +163,9 @@ std::vector<ProcessRenaming> symmetry_renamings(const System& sys) {
     }
     if (!valid) continue;
 
-    ProcessRenaming r;
-    r.proc_map = perm;
-    r.old_proc.assign(static_cast<std::size_t>(n), 0);
-    for (ProcId p = 0; p < n; ++p) {
-      r.old_proc[static_cast<std::size_t>(perm[static_cast<std::size_t>(p)])] =
-          p;
-    }
-    r.port_map.resize(static_cast<std::size_t>(num_objects));
-    r.old_port.resize(static_cast<std::size_t>(num_objects));
-    for (ObjectId g = 0; g < num_objects; ++g) {
-      auto& m = maps[static_cast<std::size_t>(g)];
-      bool identity = true;
-      for (PortId a = 0; a < static_cast<PortId>(m.size()); ++a) {
-        identity = identity && m[static_cast<std::size_t>(a)] == a;
-      }
-      if (identity) continue;  // empty vectors mean identity
-      auto& inv = r.old_port[static_cast<std::size_t>(g)];
-      inv.assign(m.size(), 0);
-      for (PortId a = 0; a < static_cast<PortId>(m.size()); ++a) {
-        inv[static_cast<std::size_t>(m[static_cast<std::size_t>(a)])] = a;
-      }
-      r.port_map[static_cast<std::size_t>(g)] = std::move(m);
-    }
-    result.push_back(std::move(r));
+    result.push_back(ProcessRenaming{perm});
   }
   return result;
-}
-
-ReductionContext::ReductionContext(const System& sys)
-    : renamings_(symmetry_renamings(sys)) {
-  inverses_.reserve(renamings_.size());
-  for (const ProcessRenaming& r : renamings_) {
-    // The inverse permutation is the same renaming with the forward and
-    // backward maps swapped.
-    ProcessRenaming inv;
-    inv.proc_map = r.old_proc;
-    inv.old_proc = r.proc_map;
-    inv.port_map = r.old_port;
-    inv.old_port = r.port_map;
-    inverses_.push_back(std::move(inv));
-  }
-}
-
-void ReductionContext::steps_into(const Engine& e, std::vector<Step>& out) {
-  out.clear();
-  const int n = e.system().num_processes();
-  for (ProcId p = 0; p < n; ++p) {
-    if (!e.done(p)) out.push_back(Step{p, e.pending_choices(p)});
-  }
-}
-
-void ReductionContext::canonical_node_key_into(Engine& e, ConfigKey& out,
-                                               ConfigKey& scratch,
-                                               int* applied) const {
-  e.config_key_into(out);
-  int best_idx = -1;
-  for (std::size_t idx = 0; idx < renamings_.size(); ++idx) {
-    e.config_key_into(scratch, renamings_[idx]);
-    if (scratch.words < out.words) {
-      std::swap(out.words, scratch.words);
-      best_idx = static_cast<int>(idx);
-    }
-  }
-  if (best_idx >= 0) {
-    e.apply_renaming(renamings_[static_cast<std::size_t>(best_idx)]);
-  }
-  if (applied) *applied = best_idx;
-}
-
-void ReductionContext::apply_renaming_index(Engine& e, int idx) const {
-  e.apply_renaming(renamings_[static_cast<std::size_t>(idx)]);
-}
-
-void ReductionContext::undo_renaming(Engine& e, int idx) const {
-  e.apply_renaming(inverses_[static_cast<std::size_t>(idx)]);
 }
 
 }  // namespace wfregs

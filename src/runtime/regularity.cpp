@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "script_driver.hpp"
 #include "wfregs/runtime/history_check.hpp"
 #include "wfregs/runtime/system.hpp"
 
@@ -111,14 +112,11 @@ RegularVerifyResult verify_regular(
     // Responses are folded into process state so that executions with
     // different histories occupy distinct configurations (the explorer
     // memoizes on configurations; see verify.cpp for the full note).
-    ProgramBuilder b;
-    b.assign(1, lit(0));
-    for (const InvId inv : scripts[static_cast<std::size_t>(p)]) {
-      b.invoke(0, lit(inv), 0);
-      b.assign(1, reg(1) * lit(1 << 20) + reg(0) + lit(1));
-    }
-    b.ret(reg(1));
-    sys->set_toplevel(p, b.build("regular_p" + std::to_string(p)), {obj});
+    sys->set_toplevel(p,
+                      script_driver(impl->iface(),
+                                    scripts[static_cast<std::size_t>(p)],
+                                    "regular_p" + std::to_string(p)),
+                      {obj});
   }
   const int initial = impl->iface_initial();
   const TerminalCheck check =
@@ -128,7 +126,7 @@ RegularVerifyResult verify_regular(
     return std::move(r.detail);
   };
   const Engine root{std::move(sys)};
-  ExploreOptions explore_options{limits, options.reduction};
+  ExploreOptions explore_options{limits};
   explore_options.storage = options.storage;
   const auto out = explore_parallel(root, check, explore_options,
                                     options.threads);

@@ -1,11 +1,41 @@
 #include "wfregs/runtime/verify.hpp"
 
+#include <limits>
 #include <stdexcept>
+#include <string>
 
+#include "script_driver.hpp"
 #include "wfregs/runtime/history_check.hpp"
 #include "wfregs/runtime/system.hpp"
 
 namespace wfregs {
+
+ProgramRef script_driver(const TypeSpec& iface,
+                         const std::vector<InvId>& script,
+                         const std::string& name) {
+  const Val radix = static_cast<Val>(iface.num_responses()) + 1;
+  Val span = 1;  // radix^k after k operations; the fold stays below it
+  for (std::size_t k = 0; k < script.size(); ++k) {
+    if (span > std::numeric_limits<Val>::max() / radix) {
+      throw std::invalid_argument(
+          "script_driver: a script of " + std::to_string(script.size()) +
+          " operations over " + std::to_string(iface.num_responses()) +
+          " responses overflows the response fold");
+    }
+    span *= radix;
+  }
+  // valid * reg(0) + valid rather than valid * (reg(0) + 1): no operand
+  // overflows, whatever value an implementation returns.
+  const Expr valid = lit(0) <= reg(0) && reg(0) < lit(radix - 1);
+  ProgramBuilder b;
+  b.assign(1, lit(0));
+  for (const InvId inv : script) {
+    b.invoke(0, lit(inv), 0);
+    b.assign(1, reg(1) * lit(radix) + valid * reg(0) + valid);
+  }
+  b.ret(reg(1));
+  return b.build(name);
+}
 
 VerifyResult verify_linearizable(std::shared_ptr<const Implementation> impl,
                                  std::vector<std::vector<InvId>> scripts,
@@ -45,15 +75,11 @@ VerifyResult verify_linearizable(std::shared_ptr<const Implementation> impl,
     // terminal check below depends on the response *history*; folding the
     // responses into process state keeps executions with different
     // histories in distinct configurations, preserving exhaustiveness.
-    ProgramBuilder b;
-    b.assign(1, lit(0));
-    for (std::size_t k = 0; k < scripts[static_cast<std::size_t>(p)].size();
-         ++k) {
-      b.invoke(0, lit(scripts[static_cast<std::size_t>(p)][k]), 0);
-      b.assign(1, reg(1) * lit(1 << 20) + reg(0) + lit(1));
-    }
-    b.ret(reg(1));
-    sys->set_toplevel(p, b.build("script_p" + std::to_string(p)), {obj});
+    sys->set_toplevel(p,
+                      script_driver(impl->iface(),
+                                    scripts[static_cast<std::size_t>(p)],
+                                    "script_p" + std::to_string(p)),
+                      {obj});
   }
 
   const auto iface = impl->iface_ptr();
@@ -66,7 +92,7 @@ VerifyResult verify_linearizable(std::shared_ptr<const Implementation> impl,
   };
 
   const Engine root{std::move(sys)};
-  ExploreOptions explore_options{limits, options.reduction};
+  ExploreOptions explore_options{limits};
   explore_options.storage = options.storage;
   const auto out = explore_parallel(root, check, explore_options,
                                     options.threads);

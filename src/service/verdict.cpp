@@ -66,8 +66,10 @@ class Reader {
 // records of any other version (verdict_version_current).  Version 4 marks
 // the deletion of sleep sets: `sleep` jobs now count the unreduced graph and
 // `sleep+symmetry` jobs the symmetry-reduced one, so their `configs` differ
-// from version-3 records of the same job text.
-constexpr std::uint8_t kVersion = 4;
+// from version-3 records of the same job text.  Version 5 marks the
+// deletion of per-node symmetry: `sleep+symmetry` jobs now count the
+// unreduced graph, as `none` and `sleep` jobs do.
+constexpr std::uint8_t kVersion = 5;
 
 void json_escape_into(std::ostream& out, const std::string& s) {
   for (const char ch : s) {

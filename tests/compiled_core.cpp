@@ -1,8 +1,8 @@
 // Tests for the compiled execution core: Engine::apply/revert undo
 // exactness, the ConfigInterner memo substrate, the splitmix-style key hash,
 // the differential holding explore() and explore_parallel to the naive
-// oracle (explore_oracle.hpp) in every reduction mode, and the pinned
-// DFS-order outcomes of aborted runs.
+// oracle (explore_oracle.hpp), and the pinned DFS-order outcomes of aborted
+// runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -50,9 +50,8 @@ std::string fingerprint(const Engine& e) {
 }
 
 /// Symmetric scenario over one shared instance of `t`: every process runs
-/// the SAME program object (pointer equality is what symmetry_renamings
-/// keys on), performing two invocations and folding responses into local
-/// state per the memoization contract.
+/// the SAME program object, performing two invocations and folding
+/// responses into local state per the memoization contract.
 Engine symmetric_scenario(std::shared_ptr<const TypeSpec> t) {
   const int n = t->ports();
   const int invs = t->num_invocations();
@@ -326,47 +325,37 @@ void expect_same_outcome(const ExploreOutcome& want, const ExploreOutcome& got,
       << what << ": intern pool occupancy must track the configs counter";
 }
 
-/// Holds explore() in every reduction mode, and explore_parallel at 2 and
-/// 8 threads, to the oracle on one scenario.  kNone must reproduce the
-/// oracle's counters exactly; every mode must reproduce its verdict, depth
-/// and access bounds (reduction preserves them); the parallel engine must
-/// be bit-identical to the sequential one in every mode.
+/// Holds explore(), and explore_parallel at 2 and 8 threads, to the oracle
+/// on one scenario: the sequential explorer must reproduce the oracle's
+/// verdict and counters exactly, and the parallel engine must be
+/// bit-identical to the sequential one.
 void expect_matches_oracle(const Engine& root, const std::string& name,
                            const TerminalCheck& check = {}) {
   const testsup::OracleOutcome want = testsup::oracle_explore(root, check);
   ASSERT_TRUE(want.complete) << name << ": oracle configuration cap hit";
-  ExploreOptions options;
-  options.limits.track_access_bounds = true;
-  options.limits.stop_at_violation = false;
-  for (const Reduction mode :
-       {Reduction::kNone, Reduction::kSleep, Reduction::kSleepSymmetry}) {
-    options.reduction = mode;
-    const std::string what =
-        name + " mode " + std::to_string(static_cast<int>(mode));
-    const ExploreOutcome got = explore(root, options, check);
-    EXPECT_EQ(got.wait_free, want.wait_free) << what;
-    EXPECT_TRUE(got.complete) << what;
-    if (want.wait_free) {
-      EXPECT_EQ(got.stats.depth, want.depth) << what;
-      EXPECT_EQ(got.stats.max_accesses, want.max_accesses) << what;
-      EXPECT_EQ(got.stats.max_accesses_by_inv, want.max_accesses_by_inv)
-          << what;
-      EXPECT_EQ(got.violation.has_value(), !want.violations.empty()) << what;
-      if (got.violation) {
-        EXPECT_TRUE(want.violations.contains(*got.violation))
-            << what << ": " << *got.violation;
-      }
-      if (mode == Reduction::kNone) {
-        EXPECT_EQ(got.stats.configs, want.configs) << what;
-        EXPECT_EQ(got.stats.edges, want.edges) << what;
-        EXPECT_EQ(got.stats.terminals, want.terminals) << what;
-      }
+  ExploreLimits limits;
+  limits.track_access_bounds = true;
+  limits.stop_at_violation = false;
+  const ExploreOutcome got = explore(root, limits, check);
+  EXPECT_EQ(got.wait_free, want.wait_free) << name;
+  EXPECT_TRUE(got.complete) << name;
+  if (want.wait_free) {
+    EXPECT_EQ(got.stats.depth, want.depth) << name;
+    EXPECT_EQ(got.stats.max_accesses, want.max_accesses) << name;
+    EXPECT_EQ(got.stats.max_accesses_by_inv, want.max_accesses_by_inv)
+        << name;
+    EXPECT_EQ(got.violation.has_value(), !want.violations.empty()) << name;
+    if (got.violation) {
+      EXPECT_TRUE(want.violations.contains(*got.violation))
+          << name << ": " << *got.violation;
     }
-    for (const int threads : {2, 8}) {
-      expect_same_outcome(
-          got, explore_parallel(root, check, options, threads),
-          what + " threads " + std::to_string(threads));
-    }
+    EXPECT_EQ(got.stats.configs, want.configs) << name;
+    EXPECT_EQ(got.stats.edges, want.edges) << name;
+    EXPECT_EQ(got.stats.terminals, want.terminals) << name;
+  }
+  for (const int threads : {2, 8}) {
+    expect_same_outcome(got, explore_parallel(root, check, limits, threads),
+                        name + " threads " + std::to_string(threads));
   }
 }
 
@@ -483,47 +472,26 @@ void expect_pinned(const ExploreOutcome& got, const Pinned& want,
   EXPECT_EQ(got.complete, want.complete) << what;
 }
 
-constexpr Reduction kModes[] = {Reduction::kNone, Reduction::kSleep,
-                                Reduction::kSleepSymmetry};
-
 TEST(CompiledVsLegacy, CycleAbortMatches) {
-  const Engine root = spinner_scenario();
-  for (const Reduction mode : kModes) {
-    ExploreOptions options;
-    options.reduction = mode;
-    const auto got = explore(root, options);
-    expect_pinned(got, {1, 1, 0, false, true},
-                  "spinner mode " + std::to_string(static_cast<int>(mode)));
-    EXPECT_FALSE(got.violation.has_value());
-  }
+  const auto got = explore(spinner_scenario());
+  expect_pinned(got, {1, 1, 0, false, true}, "spinner");
+  EXPECT_FALSE(got.violation.has_value());
 }
 
 TEST(CompiledVsLegacy, LimitAbortMatches) {
   const Engine root = symmetric_scenario(share(zoo::nondet_coin_type(2)));
-  // [mode][max_configs 1, 5, 17]
-  const Pinned pinned[3][3] = {
-      {{1, 1, 0, true, false},
-       {5, 5, 1, true, false},
-       {17, 19, 8, true, false}},
-      {{1, 1, 0, true, false},
-       {5, 5, 1, true, false},
-       {17, 19, 8, true, false}},
-      {{1, 1, 0, true, false},
-       {5, 5, 1, true, false},
-       {17, 24, 7, true, false}},
-  };
-  for (int m = 0; m < 3; ++m) {
-    const std::size_t limits[] = {1, 5, 17};
-    for (int k = 0; k < 3; ++k) {
-      ExploreOptions options;
-      options.reduction = kModes[m];
-      options.limits.max_configs = limits[k];
-      const auto got = explore(root, options);
-      expect_pinned(got, pinned[m][k],
-                    "mode " + std::to_string(m) + " max_configs " +
-                        std::to_string(limits[k]));
-      EXPECT_FALSE(got.violation.has_value());
-    }
+  // [max_configs 1, 5, 17]
+  const Pinned pinned[3] = {{1, 1, 0, true, false},
+                            {5, 5, 1, true, false},
+                            {17, 19, 8, true, false}};
+  const std::size_t caps[] = {1, 5, 17};
+  for (int k = 0; k < 3; ++k) {
+    ExploreLimits limits;
+    limits.max_configs = caps[k];
+    const auto got = explore(root, limits);
+    expect_pinned(got, pinned[k],
+                  "max_configs " + std::to_string(caps[k]));
+    EXPECT_FALSE(got.violation.has_value());
   }
 }
 
@@ -542,39 +510,31 @@ TEST(CompiledVsLegacy, ViolationStopMatches) {
     return "results " + std::to_string(*e.result(0)) + "," +
            std::to_string(*e.result(1));
   };
-  // [mode][stop_at_violation true, false]
-  const Pinned pinned[3][2] = {
-      {{5, 4, 1, true, true}, {49, 84, 16, true, true}},
-      {{5, 4, 1, true, true}, {49, 84, 16, true, true}},
-      {{5, 4, 1, true, true}, {28, 48, 10, true, true}},
-  };
-  for (int m = 0; m < 3; ++m) {
-    for (const bool stop : {true, false}) {
-      ExploreOptions options;
-      options.reduction = kModes[m];
-      options.limits.stop_at_violation = stop;
-      const std::string what = "mode " + std::to_string(m) +
-                               (stop ? " stop" : " no-stop");
-      const auto flagged = explore(root, options, flag_all);
-      expect_pinned(flagged, pinned[m][stop ? 0 : 1], what);
-      EXPECT_EQ(flagged.violation, "every terminal is flagged") << what;
-      const auto named = explore(root, options, name_results);
-      expect_pinned(named, pinned[m][stop ? 0 : 1], what);
-      EXPECT_EQ(named.violation, "results 1048577,1048577") << what;
-      if (!stop) {
-        EXPECT_EQ(named.stats.depth, 4) << what;
-      }
-      // The processes run different programs here, so the first terminal
-      // reached -- named by its results -- pins the process order too.
-      const auto asym = explore(
-          folding_scenario(share(zoo::fetch_and_add_type(4, 2))), options,
-          name_results);
-      expect_pinned(asym,
-                    stop ? Pinned{5, 4, 1, true, true}
-                         : Pinned{19, 18, 6, true, true},
-                    "fetch_and_add " + what);
-      EXPECT_EQ(asym.violation, "results 1048578,3145732") << what;
+  // [stop_at_violation true, false]
+  const Pinned pinned[2] = {{5, 4, 1, true, true}, {49, 84, 16, true, true}};
+  for (const bool stop : {true, false}) {
+    ExploreLimits limits;
+    limits.stop_at_violation = stop;
+    const std::string what = stop ? "stop" : "no-stop";
+    const auto flagged = explore(root, limits, flag_all);
+    expect_pinned(flagged, pinned[stop ? 0 : 1], what);
+    EXPECT_EQ(flagged.violation, "every terminal is flagged") << what;
+    const auto named = explore(root, limits, name_results);
+    expect_pinned(named, pinned[stop ? 0 : 1], what);
+    EXPECT_EQ(named.violation, "results 1048577,1048577") << what;
+    if (!stop) {
+      EXPECT_EQ(named.stats.depth, 4) << what;
     }
+    // The processes run different programs here, so the first terminal
+    // reached -- named by its results -- pins the process order too.
+    const auto asym =
+        explore(folding_scenario(share(zoo::fetch_and_add_type(4, 2))),
+                limits, name_results);
+    expect_pinned(asym,
+                  stop ? Pinned{5, 4, 1, true, true}
+                       : Pinned{19, 18, 6, true, true},
+                  "fetch_and_add " + what);
+    EXPECT_EQ(asym.violation, "results 1048578,3145732") << what;
   }
 }
 

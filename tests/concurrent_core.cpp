@@ -12,7 +12,7 @@
 //     collects; a torn read would break it), and the quiescent collect is
 //     exact;
 //   * the parallel explorer's machinery vs the sequential explorer,
-//     bit-identical across the zoo x every reduction mode x 1/2/8 threads.
+//     bit-identical across the zoo x 1/2/8 threads.
 //
 // Iteration counts default low so tier-1 stays fast; the CI
 // concurrent-stress job raises them under ThreadSanitizer through
@@ -413,8 +413,6 @@ TEST(ConcurrentCoreDifferential, EnginesMatchSequentialAcrossReductions) {
     out.emplace_back("nondet_coin(2)", zoo::nondet_coin_type(2));
     return out;
   }();
-  constexpr Reduction kModes[] = {Reduction::kNone, Reduction::kSleep,
-                                  Reduction::kSleepSymmetry};
   constexpr int kThreadCounts[] = {1, 2, 8};
   // Deterministic outcome, so extra rounds only buy TSan more
   // interleavings: a few are enough even in the stress lane.
@@ -422,23 +420,16 @@ TEST(ConcurrentCoreDifferential, EnginesMatchSequentialAcrossReductions) {
 
   for (const auto& [name, spec] : workloads) {
     const Engine root = folding_scenario(share(TypeSpec{spec}));
-    for (const Reduction mode : kModes) {
-      ExploreOptions options;
-      options.limits.track_access_bounds = true;
-      options.limits.stop_at_violation = false;
-      options.reduction = mode;
-      const auto seq = explore(root, options);
-      ASSERT_TRUE(seq.complete) << name;
-      for (int round = 0; round < rounds; ++round) {
-        for (const int threads : kThreadCounts) {
-          const std::string what =
-              name + " mode " + std::to_string(static_cast<int>(mode)) +
-              " @ " + std::to_string(threads) + " threads";
-          ExpectIdentical(
-              seq,
-              detail::explore_parallel_lockfree(root, {}, options, threads),
-              what);
-        }
+    ExploreOptions options;
+    options.limits.track_access_bounds = true;
+    options.limits.stop_at_violation = false;
+    const auto seq = explore(root, options);
+    ASSERT_TRUE(seq.complete) << name;
+    for (int round = 0; round < rounds; ++round) {
+      for (const int threads : kThreadCounts) {
+        ExpectIdentical(
+            seq, detail::explore_parallel_lockfree(root, {}, options, threads),
+            name + " @ " + std::to_string(threads) + " threads");
       }
     }
   }

@@ -50,7 +50,7 @@ inline consensus::ConsensusCheckResult check_root_by_root(
     };
     const Engine root{consensus::consensus_scenario(impl, inputs)};
     const auto out = explore_parallel(
-        root, check, ExploreOptions{options.limits, options.reduction},
+        root, check, ExploreOptions{options.limits},
         options.threads);
     want.wait_free = want.wait_free && out.wait_free;
     want.complete = want.complete && out.complete;

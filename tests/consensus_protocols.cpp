@@ -167,25 +167,20 @@ TEST(ConsensusCheck, RootsShareOneBuildAndMatchARootByRootCheck) {
     }
     EXPECT_EQ(compiled.size(), specs.size());
 
-    for (const Reduction mode :
-         {Reduction::kNone, Reduction::kSleep, Reduction::kSleepSymmetry}) {
-      for (const int threads : {1, 4}) {
-        SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)) +
-                     ", threads " + std::to_string(threads));
-        VerifyOptions options;
-        options.limits.track_access_bounds = true;
-        // A parallel run cut at its first violation reports lower bounds
-        // that vary from run to run; explored to the end, every count and
-        // the first violation in canonical order are exact.
-        options.limits.stop_at_violation = false;
-        options.reduction = mode;
-        options.threads = threads;
-        const std::uint64_t compiles = CompiledType::compiled_count();
-        const auto got = check_consensus(impl, options);
-        EXPECT_EQ(CompiledType::compiled_count() - compiles, specs.size());
-        testsup::ExpectSameCheck(
-            got, testsup::check_root_by_root(impl, options));
-      }
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      VerifyOptions options;
+      options.limits.track_access_bounds = true;
+      // A parallel run cut at its first violation reports lower bounds that
+      // vary from run to run; explored to the end, every count and the first
+      // violation in canonical order are exact.
+      options.limits.stop_at_violation = false;
+      options.threads = threads;
+      const std::uint64_t compiles = CompiledType::compiled_count();
+      const auto got = check_consensus(impl, options);
+      EXPECT_EQ(CompiledType::compiled_count() - compiles, specs.size());
+      testsup::ExpectSameCheck(got,
+                               testsup::check_root_by_root(impl, options));
     }
   }
 }

@@ -1,5 +1,6 @@
 // Further runtime-layer tests: object placement bookkeeping, per-port
-// persistent state, history error paths, verify() argument checking, and a
+// persistent state, history error paths, verify() argument checking, the
+// scripted drivers' response fold on long scripts, and a
 // crash-tolerance scenario exercising the wait-freedom semantics the paper's
 // model is built on (a stopped process cannot block others, and the
 // resulting history with a pending operation is still linearizable).
@@ -8,6 +9,7 @@
 #include "test_support.hpp"
 #include "wfregs/core/bounded_register.hpp"
 #include "wfregs/runtime/linearizability.hpp"
+#include "wfregs/runtime/regularity.hpp"
 #include "wfregs/runtime/verify.hpp"
 #include "wfregs/typesys/type_zoo.hpp"
 
@@ -105,6 +107,65 @@ TEST(Verify, ArgumentChecking) {
   EXPECT_THROW(verify_linearizable(nullptr, {}), std::invalid_argument);
   const auto impl = core::bounded_bit_from_oneuse(1, 1, 0);
   EXPECT_THROW(verify_linearizable(impl, {{}}), std::invalid_argument);
+}
+
+/// bit_type(2) implemented over one inner bit: every operation is passed
+/// through, except that with `stale_reads` a read returns 0 without looking.
+std::shared_ptr<const Implementation> passthrough_bit(bool stale_reads) {
+  const zoo::RegisterLayout lay{2};
+  auto impl = make_impl(stale_reads ? "stale_bit" : "passthrough_bit",
+                        share(zoo::bit_type(2)), 0);
+  const int inner = impl->add_base(share(zoo::bit_type(2)), 0, {0, 1});
+  impl->set_program_all_ports(
+      lay.read(), stale_reads ? testsup::constant("read", lay.value_resp(0))
+                              : one_shot("read", inner, lay.read()));
+  for (const int v : {0, 1}) {
+    impl->set_program_all_ports(lay.write(v),
+                                one_shot("write", inner, lay.write(v)));
+  }
+  return impl;
+}
+
+TEST(Verify, LongScriptsFoldEveryResponseWithoutOverflow) {
+  // The drivers fold each response in radix num_responses + 1 (4 for a
+  // bit), so 8-operation scripts stay far from INT64_MAX; the old radix
+  // 2^20 overflowed at the fifth operation.  Both verifiers must give the
+  // right verdict: the stale bit is caught by a read after a write of 1.
+  const zoo::RegisterLayout lay{2};
+  const std::vector<std::vector<InvId>> scripts = {
+      {lay.write(1), lay.read(), lay.write(0), lay.read(), lay.write(1),
+       lay.read(), lay.read(), lay.read()},
+      {lay.read(), lay.read(), lay.read(), lay.read(), lay.read(), lay.read(),
+       lay.read(), lay.read()}};
+  VerifyOptions options;
+  options.threads = 1;
+  const auto good = verify_linearizable(passthrough_bit(false), scripts,
+                                        options);
+  EXPECT_TRUE(good.ok) << good.detail;
+  const auto stale = verify_linearizable(passthrough_bit(true), scripts,
+                                         options);
+  EXPECT_TRUE(stale.complete);
+  EXPECT_FALSE(stale.ok);
+  EXPECT_TRUE(verify_regular(passthrough_bit(false), scripts, 2, options).ok);
+  EXPECT_FALSE(verify_regular(passthrough_bit(true), scripts, 2, options).ok);
+}
+
+TEST(Verify, OverlongScriptsAreRejected) {
+  // A bit has 3 responses, so the fold is in radix 4: 4^31 = 2^62 fits an
+  // int64, 4^32 does not.
+  const zoo::RegisterLayout lay{2};
+  VerifyOptions options;
+  options.threads = 1;
+  const std::vector<std::vector<InvId>> longest = {
+      std::vector<InvId>(31, lay.read()), {}};
+  EXPECT_TRUE(verify_linearizable(passthrough_bit(false), longest, options).ok);
+  EXPECT_TRUE(verify_regular(passthrough_bit(false), longest, 2, options).ok);
+  const std::vector<std::vector<InvId>> overlong = {
+      std::vector<InvId>(32, lay.read()), {}};
+  EXPECT_THROW(verify_linearizable(passthrough_bit(false), overlong, options),
+               std::invalid_argument);
+  EXPECT_THROW(verify_regular(passthrough_bit(false), overlong, 2, options),
+               std::invalid_argument);
 }
 
 // ---- crash tolerance ------------------------------------------------------------------

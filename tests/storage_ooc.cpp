@@ -1,7 +1,7 @@
 // Out-of-core exploration tests.
 //
 // The contract under test (explorer.hpp): explore() with storage enabled is
-// BIT-IDENTICAL to plain explore() in every reduction mode -- same counters,
+// BIT-IDENTICAL to plain explore() -- same counters,
 // same violation, same access bounds -- whether the run completes in one
 // shot, is interrupted and resumed under a checkpoint, or is SIGKILL'd at a
 // randomized moment and resumed from whatever checkpoint prefix survived on
@@ -42,21 +42,6 @@ namespace fs = std::filesystem;
 using testsup::folding_scenario;
 using testsup::indexed_name;
 using testsup::share;
-
-constexpr Reduction kModes[] = {Reduction::kNone, Reduction::kSleep,
-                                Reduction::kSleepSymmetry};
-
-const char* mode_name(Reduction r) {
-  switch (r) {
-    case Reduction::kNone:
-      return "none";
-    case Reduction::kSleep:
-      return "sleep";
-    case Reduction::kSleepSymmetry:
-      return "sleep+symmetry";
-  }
-  return "?";
-}
 
 struct TempDir {
   fs::path path;
@@ -128,18 +113,13 @@ TEST(OocExplorer, DifferentialOnZooTypes) {
   int scenario = 0;
   for (auto& [name, t] : instances) {
     const Engine root = folding_scenario(share(std::move(t)));
-    for (const Reduction mode : kModes) {
-      ExploreOptions ref_options{limits, mode};
-      const auto ref = explore(root, ref_options);
-      EXPECT_TRUE(ref.complete) << name;
-      ExploreOptions ooc_options{limits, mode};
-      ooc_options.storage =
-          tiny_storage(tmp.sub(indexed_name("s", scenario++)));
-      const auto ooc = explore(root, ooc_options);
-      ExpectIdentical(ref, ooc,
-                      name + " [" + mode_name(mode) + "]");
-      EXPECT_FALSE(ooc.resumed);
-    }
+    const auto ref = explore(root, limits);
+    EXPECT_TRUE(ref.complete) << name;
+    ExploreOptions ooc_options{limits};
+    ooc_options.storage = tiny_storage(tmp.sub(indexed_name("s", scenario++)));
+    const auto ooc = explore(root, ooc_options);
+    ExpectIdentical(ref, ooc, name);
+    EXPECT_FALSE(ooc.resumed);
   }
 }
 
@@ -168,15 +148,11 @@ TEST(OocExplorer, DifferentialOnConsensusProtocolsWithViolations) {
     std::vector<int> inputs;
     for (int p = 0; p < n; ++p) inputs.push_back((vec >> p) & 1);
     const Engine root{consensus::consensus_scenario(impl, inputs)};
-    for (const Reduction mode : kModes) {
-      const auto ref = explore(root, ExploreOptions{limits, mode}, check);
-      ExploreOptions ooc_options{limits, mode};
-      ooc_options.storage =
-          tiny_storage(tmp.sub(indexed_name("s", scenario++)));
-      ExpectIdentical(ref, explore(root, ooc_options, check),
-                      std::string("registers_only inputs ") +
-                          std::to_string(vec) + " [" + mode_name(mode) + "]");
-    }
+    const auto ref = explore(root, limits, check);
+    ExploreOptions ooc_options{limits};
+    ooc_options.storage = tiny_storage(tmp.sub(indexed_name("s", scenario++)));
+    ExpectIdentical(ref, explore(root, ooc_options, check),
+                    "registers_only inputs " + std::to_string(vec));
   }
 }
 
@@ -328,8 +304,8 @@ TEST(OocExplorer, CancellationCheckpointsLikeADeadline) {
 }
 
 TEST(OocExplorer, FingerprintMismatchStartsFresh) {
-  // A checkpoint taken under one reduction mode must not be resumed by a
-  // run under another: the fingerprint covers the exploration shape.
+  // A checkpoint taken without access-bound tracking must not be resumed by
+  // a run that tracks them: the fingerprint covers the exploration shape.
   TempDir tmp;
   const Engine root = big_scenario();
   ExploreOptions a;
@@ -340,13 +316,15 @@ TEST(OocExplorer, FingerprintMismatchStartsFresh) {
   ASSERT_FALSE(partial.complete);
 
   ExploreOptions b{a};
-  b.reduction = Reduction::kSleep;
+  b.limits.track_access_bounds = true;
   b.limits.max_configs = ExploreLimits{}.max_configs;
   const auto out = explore(root, b);
   EXPECT_FALSE(out.resumed);
   EXPECT_TRUE(out.complete);
-  const auto ref = explore(root, ExploreOptions{{}, Reduction::kSleep});
-  ExpectIdentical(ref, out, "fresh start under different mode");
+  ExploreLimits tracked;
+  tracked.track_access_bounds = true;
+  const auto ref = explore(root, tracked);
+  ExpectIdentical(ref, out, "fresh start under different tracking");
 }
 
 TEST(OocExplorer, ResumeFromSeedsANewDirectory) {
