@@ -1,7 +1,7 @@
 // E13 -- the verification service layer: cold batch submission (every
 // verdict computed by the explorers) against warm resubmission of the same
 // batch (every verdict answered from the persistent store), over an
-// E7-flavoured workload -- the consensus protocol zoo under all three
+// explorer-heavy workload -- the consensus protocol zoo under all three
 // reduction modes, i.e. the same jobs the service-smoke CI lane replays.
 //
 // Per benchmark the JSON carries:

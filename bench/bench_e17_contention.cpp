@@ -1,7 +1,8 @@
 // E17 -- the parallel explorer against the sequential one: the Chase-Lev +
 // lock-free-interner engine (detail::explore_parallel_lockfree, which runs
-// its full machinery at any thread count) against explore() on the E10
-// register-race workload, swept over 1/2/4/8/16 worker threads.
+// its full machinery at any thread count) against explore() on the 4p2o
+// register-race DAG (register_race.hpp), swept over 1/2/4/8/16 worker
+// threads.
 //
 // Every row cross-checks its outcome against a one-shot sequential
 // explore() reference -- configs / edges / terminals / interned_configs /

@@ -74,9 +74,12 @@ def check_suite(run, suite, suite_name):
         else:
             print(f"ok:   {name}: configs {got:.0f} (identical to baseline)")
     if base_configs:
+        # Rows without a configs counter (e12's checker rows) have nothing
+        # to baseline.
         for name in sorted(set(run) - set(base_configs)):
-            print(f"warn: {name} has no baseline entry -- add it to "
-                  f"bench/baseline.json suites.{suite_name}")
+            if "configs" in run[name]:
+                print(f"warn: {name} has no baseline entry -- add it to "
+                      f"bench/baseline.json suites.{suite_name}")
 
     # 2. interned_configs == configs wherever both are reported.
     for name, b in sorted(run.items()):

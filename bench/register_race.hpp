@@ -1,4 +1,4 @@
-// The E7/E10/E12/E17 explorer workload, shared so the benches measure one
+// The E12/E17 explorer workload, shared so the benches measure one
 // configuration DAG: k processes hammering one shared 4-valued register
 // with (write; read)^ops programs that fold the read back into process
 // state.  procs=4, ops=2 gives 51,601 configurations.

@@ -1,13 +1,9 @@
 // The repo's ONE splitmix64 mixer and word-sequence hash.
 //
-// This mixer used to exist three times -- the runtime definition
-// (config_intern.hpp, which the service JobKey hasher also called) and two
-// private splitmix64 clones in the native lab (runtime.cpp,
-// conformance.cpp).  The canonical definition now lives here; runtime and
-// service call it through thin compatibility aliases (config_mix64 /
-// config_hash_words) and the native lab through splitmix64 below, so every
-// hashing site -- interner probes, shard selection, JobKeys, native PRNG
-// seeding -- agrees on the exact same avalanche.
+// Runtime and service call it through thin compatibility aliases
+// (config_mix64 / config_hash_words in config_intern.hpp), so every hashing
+// site -- interner probes, shard selection, JobKeys -- agrees on the exact
+// same avalanche.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +22,7 @@ constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
 }
 
 /// One full splitmix64 step -- the golden-ratio increment followed by the
-/// finalizer -- used for deterministic seed derivation (the native lab's
-/// per-thread and per-round PRNG streams).
+/// finalizer -- a deterministic pseudo-random stream for seeded tests.
 constexpr std::uint64_t splitmix64(std::uint64_t x) noexcept {
   return mix64(x + 0x9e3779b97f4a7c15ULL);
 }

@@ -2,12 +2,9 @@
 // specification, independently of how the history was produced.
 //
 // The explorer-driven verify_linearizable / verify_regular paths apply
-// exactly these checks to every terminal history they enumerate; the native
-// conformance lab (wfregs/native) applies them to histories recorded from
-// real std::thread executions.  Splitting them out keeps the two producers
-// verifiably on the same oracle: a construction that passes exhaustive
-// model checking and then fails natively has a genuine bug in either the
-// construction or the model, never a divergence between two checkers.
+// exactly these checks to every terminal history they enumerate; the unit
+// tests (tests/linearizability_oracle.cpp) apply them to hand-written
+// histories, so the oracle the explorers trust is checked on its own.
 #pragma once
 
 #include <string>

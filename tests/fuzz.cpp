@@ -17,9 +17,7 @@
 #include "wfregs/consensus/protocols.hpp"
 #include "wfregs/hierarchy/hierarchy.hpp"
 #include "wfregs/core/bounded_register.hpp"
-#include "wfregs/native/runtime.hpp"
 #include "wfregs/runtime/explorer.hpp"
-#include "wfregs/runtime/history_check.hpp"
 #include "wfregs/typesys/compiled_type.hpp"
 #include "wfregs/typesys/random_type.hpp"
 #include "wfregs/typesys/serialize.hpp"
@@ -183,52 +181,6 @@ std::shared_ptr<const Implementation> pass_through(
     impl->set_program_all_ports(i, testsup::one_shot("fwd", slot, i));
   }
   return impl;
-}
-
-TEST(Fuzz, NativeBridgeAgreesWithTheModelOnRandomPassThroughs) {
-  // Bridge to the native conformance lab (wfregs/native): the same random
-  // pass-through implementations the simulated fuzz path accepts also run
-  // one short REAL-THREAD round each, and the recorded history must pass
-  // the identical single-history oracle.  A divergence here would mean the
-  // native lowering executes a different type than the model checks.
-  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    RandomTypeParams params;
-    params.ports = 2;  // one native thread per port
-    params.num_states = 2 + static_cast<int>(seed % 4);
-    params.num_invocations = 1 + static_cast<int>(seed % 3);
-    params.num_responses = 2 + static_cast<int>(seed % 2);
-    params.oblivious = (seed % 2) == 0;
-    params.branching = 1 + static_cast<int>(seed % 2);
-    const auto t = share(random_type(params, seed));
-
-    // Simulated verdict: the identity pass-through is always linearizable.
-    const std::vector<InvId> script(2, 0);
-    FuzzOptions fopts;
-    fopts.runs = 5;
-    fopts.seed = seed;
-    const auto sim = fuzz_linearizable(pass_through(t), {script, script},
-                                       fopts);
-    ASSERT_TRUE(sim.ok) << "seed " << seed << ": " << sim.detail;
-
-    // Native verdict: one deterministic round, 2 threads, small budget.
-    native::NativeRuntime rt(pass_through(t));
-    native::NativeOptions nopts;
-    nopts.ops_per_thread = 3;
-    nopts.seed = seed;
-    nopts.deterministic = true;
-    const int invs = t->num_invocations();
-    const native::NativeRun run = rt.run(
-        [invs](PortId, int, std::mt19937_64& rng) {
-          return static_cast<InvId>(rng() % static_cast<std::uint64_t>(invs));
-        },
-        nopts);
-    ASSERT_EQ(run.history.ops().size(), 6u) << "seed " << seed;
-    EXPECT_GT(run.base_accesses, 0u);
-    const auto nat = check_history_linearizable(run.history, *t, 0,
-                                                rt.iface_object());
-    EXPECT_TRUE(nat.ok) << "seed " << seed << ": " << nat.detail << "\n"
-                        << run.history.to_string();
-  }
 }
 
 TEST(Fuzz, LintAcceptsEveryRandomImplementation) {

@@ -113,7 +113,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, OracleSweep,
 
 // ---- the public single-history API (history_check.hpp) --------------------
 // Hand-written histories with explicit timestamps: the producer-independent
-// entry point the native conformance lab feeds real-thread recordings into.
+// entry point verify_linearizable / verify_regular apply to every terminal
+// history.
 
 /// Appends a completed op spanning [t0, t1] to `h`.
 void op(History& h, ProcId proc, PortId port, InvId inv, Val resp,
@@ -152,6 +153,18 @@ TEST(HistoryCheck, RejectsAReadOfAValueNeverWritten) {
   EXPECT_FALSE(r.ok);
   EXPECT_FALSE(static_cast<bool>(r));
   EXPECT_NE(r.detail.find("not linearizable"), std::string::npos);
+
+  // A torn read: during write(3) over 0 (both bits flip) the read sees the
+  // low bit new and the high bit old, returning 1 -- a mix of the two
+  // values, never written, which neither an atomic nor a regular register
+  // may return.
+  const auto spec4 = zoo::register_type(4, 2);
+  const zoo::RegisterLayout lay4{4};
+  History torn;
+  op(torn, 0, 0, lay4.write(3), lay4.ok(), 0, 5);
+  op(torn, 1, 1, lay4.read(), lay4.value_resp(1), 1, 2);
+  EXPECT_FALSE(check_history_linearizable(torn, spec4, 0).ok);
+  EXPECT_FALSE(check_history_regular(torn, 4, 0).ok);
 }
 
 TEST(HistoryCheck, RejectsNewOldInversionUnderLinearizability) {
