@@ -541,45 +541,44 @@ int cmd_store_merge(int argc, char** argv) {
     std::cerr << "usage: wfregs_cli store-merge <dst> <src>\n";
     return kExitUsage;
   }
-  std::ifstream in(argv[3], std::ios::binary);
-  if (!in) {
+  if (!std::filesystem::exists(argv[3])) {
     std::cerr << "cannot read " << argv[3] << "\n";
     return kExitUsage;
   }
-  std::ostringstream raw;
-  raw << in.rdbuf();
-  const std::string bytes = raw.str();
-  const auto* data = reinterpret_cast<const std::uint8_t*>(bytes.data());
-  if (!service::check_store_header(data, bytes.size())) {
+  // The source is replayed as open() would replay it, but left unchanged.
+  const storage::LogContents src =
+      storage::read_record_log(argv[3], service::kVerdictLogMagic);
+  if (!src.present) {
     std::cerr << "error: " << argv[3]
               << " is not a verdict log (bad header)\n";
     return kExitUsage;
   }
-  std::vector<service::StoreRecord> records;
-  const std::size_t consumed = service::parse_store_records(
-      data + service::kStoreHeaderBytes,
-      bytes.size() - service::kStoreHeaderBytes, &records);
   service::VerdictStore dst(argv[2]);
+  std::size_t merged = 0;
   std::size_t applied = 0;
   std::size_t stale = 0;
-  for (const service::StoreRecord& record : records) {
-    if (!service::verdict_version_current(record.payload.data(),
-                                          record.payload.size())) {
+  std::uint64_t committed = storage::kRecordLogHeaderBytes;
+  for (const storage::LogRecord& rec : src.records) {
+    const auto record = service::parse_verdict_record(rec);
+    if (!record) break;  // corrupt from here on, as replay rules
+    ++merged;
+    committed = rec.end_offset;
+    if (!service::verdict_version_current(record->verdict.data(),
+                                          record->verdict.size())) {
       ++stale;  // an earlier verdict encoding: recomputed, never merged
-    } else if (dst.merge_encoded(record.key, record.payload)) {
+    } else if (dst.merge_encoded(record->key, record->verdict)) {
       ++applied;
     }
   }
-  std::cout << "merged " << records.size() << " records from " << argv[3]
+  std::cout << "merged " << merged << " records from " << argv[3]
             << " into " << argv[2] << " (" << applied << " applied, "
             << dst.size() << " total)";
   if (stale > 0) {
     std::cout << "; skipped " << stale
               << " records of an earlier verdict encoding";
   }
-  if (service::kStoreHeaderBytes + consumed < bytes.size()) {
-    std::cout << "; dropped torn tail of "
-              << bytes.size() - service::kStoreHeaderBytes - consumed
+  if (committed < src.file_bytes) {
+    std::cout << "; dropped torn tail of " << src.file_bytes - committed
               << " bytes";
   }
   std::cout << "\n";

@@ -1,31 +1,29 @@
-// The persistent verdict store: an append-only, CRC-checked record log with
-// an in-memory open-addressing index (the ConfigInterner idiom: dense
-// record ids, power-of-two probe table, linear probing over cached key
-// hashes).  The index holds each record's key, file offset and payload
-// length -- never the payload -- so its RAM per record does not grow with
-// the verdict size.  A hit reads the record back with pread() and checks
-// its magic, length, key and CRC again; a mismatch or an I/O error throws
-// instead of returning a verdict.
+// The persistent verdict store: a storage::RecordLog (record_log.hpp, the
+// one crash-safe log) with an in-memory open-addressing index (the
+// ConfigInterner idiom: dense record ids, power-of-two probe table, linear
+// probing over cached key hashes).  The index holds each record's key, file
+// offset and payload length -- never the payload -- so its RAM per record
+// does not grow with the verdict size.  A hit reads the record back with
+// one pread() and checks its framing, CRC and key again; a mismatch or an
+// I/O error throws instead of returning a verdict.
 //
-// On-disk layout:
+// On-disk layout: a RecordLog with file magic "WFVSTOR2" whose records all
+// carry kVerdictTag and the payload
 //
-//   file   := header record*
-//   header := "WFVSTOR1" (8 bytes)
-//   record := magic:u32 ('W''F''V''1' LE)
-//             payload_len:u32
-//             key_hi:u64  key_lo:u64
-//             crc32:u32 (of the payload bytes)
-//             payload bytes (encode_verdict output)
+//   key_hi:u64  key_lo:u64  verdict bytes (encode_verdict output)
 //
-// All integers little-endian.  Records are committed by a single append +
-// flush; open() replays the log and TRUNCATES at the first torn or
-// corrupt record (short header, short payload, bad magic, bad CRC), so a
-// crash -- SIGKILL mid-append included -- loses at most the record being
-// written and every earlier verdict survives.  Duplicate keys keep the
-// later record (last-writer-wins replay), which makes concatenated logs
-// well-defined.  A record whose payload has an earlier verdict encoding
-// version is skipped at replay (not indexed, left in the file): its job
-// misses and is recomputed, and the fresh record is the one indexed.
+// little-endian, so the record's CRC covers the key as well as the verdict.
+// Records are committed by a single write; open() replays the log once and
+// TRUNCATES at the first torn or corrupt record (short framing, short
+// payload, bad magic, bad CRC, another tag, a payload shorter than a key),
+// so a crash -- SIGKILL mid-append included -- loses at most the record
+// being written and every earlier verdict survives.  Duplicate keys keep
+// the later record (last-writer-wins replay), which makes concatenated logs
+// well-defined.  A record whose verdict has an earlier encoding version is
+// skipped at replay (not indexed, left in the file): its job misses and is
+// recomputed, and the fresh record is the one indexed.  A file of another
+// kind -- a "WFVSTOR1" store of the earlier layout, a checkpoint log -- is
+// refused and left untouched; a store is a cache, so its jobs recompute.
 //
 // Thread-safety: none here; JobScheduler serializes access under its own
 // lock.  An empty path gives an in-memory store: the same log, written to
@@ -34,35 +32,33 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "wfregs/service/job.hpp"
 #include "wfregs/service/verdict.hpp"
+#include "wfregs/storage/record_log.hpp"
 
 namespace wfregs::service {
 
-/// One committed record parsed out of a record stream (the log minus its
-/// 8-byte file header): the key and the raw encode_verdict payload.
-struct StoreRecord {
+/// The store log's file magic and the tag of its records.
+inline constexpr storage::LogMagic kVerdictLogMagic = {'W', 'F', 'V', 'S',
+                                                       'T', 'O', 'R', '2'};
+inline constexpr std::uint32_t kVerdictTag = 1;
+
+/// A verdict record's payload, split: the job key and the encode_verdict
+/// bytes (a view into the payload).
+struct VerdictRecord {
   JobKey key;
-  std::vector<std::uint8_t> payload;
+  std::span<const std::uint8_t> verdict;
 };
 
-/// Bytes of the "WFVSTOR1" file header every log starts with.
-inline constexpr std::size_t kStoreHeaderBytes = 8;
-
-/// Parses a record stream, appending committed records to *out in log
-/// order (duplicates included -- the caller applies last-writer-wins).
-/// Returns the number of bytes consumed; parsing stops at the first torn
-/// or corrupt record (short header, short payload, bad magic, bad CRC),
-/// exactly the recovery rule replay() applies.  This is the shared parser
-/// behind open()-time replay and `wfregs_cli store-merge`.
-std::size_t parse_store_records(const std::uint8_t* data, std::size_t size,
-                                std::vector<StoreRecord>* out);
-
-/// Validates that `data` starts with the store file header.
-bool check_store_header(const std::uint8_t* data, std::size_t size);
+/// Splits `rec`; nullopt when it is not a verdict record (another tag, or a
+/// payload shorter than a key), which replay treats as corrupt.  Shared by
+/// open()-time replay and `wfregs_cli store-merge`.
+std::optional<VerdictRecord> parse_verdict_record(
+    const storage::LogRecord& rec);
 
 class VerdictStore {
  public:
@@ -70,7 +66,6 @@ class VerdictStore {
   /// truncating as described above.  Empty path = an in-memory log.
   /// Throws std::runtime_error when the file cannot be opened or created.
   explicit VerdictStore(std::string path);
-  ~VerdictStore();
 
   VerdictStore(const VerdictStore&) = delete;
   VerdictStore& operator=(const VerdictStore&) = delete;
@@ -94,7 +89,7 @@ class VerdictStore {
   /// record copied from another store lands byte-identical, never
   /// re-encoded.  The payload is validated by decoding before it is
   /// committed (a corrupt source must not poison the log).
-  void put_encoded(const JobKey& key, std::vector<std::uint8_t> payload);
+  void put_encoded(const JobKey& key, std::span<const std::uint8_t> payload);
 
   /// Idempotent, conflict-free merge of one record: a key we already hold
   /// with the identical payload is skipped (no append, no log growth on
@@ -103,43 +98,39 @@ class VerdictStore {
   /// held record that fails its read-time check -- is put_encoded.  Returns
   /// true when the record was applied.  A payload of an earlier verdict
   /// encoding version is skipped (false), as replay() skips it.
-  bool merge_encoded(const JobKey& key,
-                     const std::vector<std::uint8_t>& payload);
+  bool merge_encoded(const JobKey& key, std::span<const std::uint8_t> payload);
 
   /// Records currently indexed (distinct keys).
   std::size_t size() const { return records_.size(); }
 
   /// Bytes in the on-disk log (header included); 0 for in-memory stores.
-  std::uint64_t file_bytes() const { return path_.empty() ? 0 : end_; }
+  std::uint64_t file_bytes() const {
+    return log_.path().empty() ? 0 : log_.file_bytes();
+  }
 
   /// Records dropped by torn-tail recovery at open().
   std::size_t recovered_drop() const { return recovered_drop_; }
 
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return log_.path(); }
 
  private:
-  /// Where one indexed record lives in the log: `offset` is its header's.
+  /// Where one indexed record lives in the log.
   struct Record {
     JobKey key;
     std::uint64_t offset = 0;
-    std::uint32_t len = 0;  ///< payload bytes
+    std::uint32_t len = 0;  ///< record payload bytes, key included
   };
 
   std::uint32_t find_slot(const JobKey& key) const;
   /// Indexes `record`, repointing an existing entry for its key.
   void index_record(const Record& record);
   void grow();
-  void replay();
-  Record append_record(const JobKey& key,
-                       const std::vector<std::uint8_t>& payload);
-  /// Reads `record` back into *payload.  False when the bytes at its
-  /// offset are no longer the record put() wrote; throws on I/O errors.
-  bool read_payload(const Record& record,
-                    std::vector<std::uint8_t>* payload) const;
+  /// The verdict bytes of `record`, or nullopt when the bytes at its offset
+  /// are no longer the record put() wrote; throws on I/O errors.
+  std::optional<std::vector<std::uint8_t>> read_verdict(
+      const Record& record) const;
 
-  std::string path_;
-  int fd_ = -1;
-  std::uint64_t end_ = 0;  ///< log size; the next record's offset
+  storage::RecordLog log_;
   std::size_t recovered_drop_ = 0;
 
   // Record id -> Record; the probe table maps key hashes to id+1 (0 =

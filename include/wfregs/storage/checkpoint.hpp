@@ -1,7 +1,8 @@
 // FrontierCheckpoint: crash-safe snapshots of an exploration's frontier and
-// interner manifest, written through the record-log machinery
-// (record_log.hpp -- the VerdictStore's CRC'd append-only format with
-// torn-tail truncation on replay).
+// interner manifest, written to two RecordLogs (record_log.hpp -- the same
+// CRC'd append-only log the VerdictStore uses, with torn-tail truncation on
+// open) under the file magic "WFRLOG01".  Payloads are encoded with the
+// shared byte codec (bytes.hpp); a malformed one is an unusable snapshot.
 //
 // A checkpoint directory holds two logs:
 //
@@ -24,9 +25,9 @@
 // (finished = true) compact the directory to a single record embedding the
 // complete outcome, which lets re-runs and resubmissions short-circuit.
 //
-// The snapshot fingerprint covers the root key, reduction mode, access-
-// bounds tracking and max_depth -- NOT max_configs or the cancel flag, so a
-// run interrupted by a budget or deadline resumes under a new budget.
+// The snapshot fingerprint covers the root key, access-bounds tracking and
+// max_depth -- NOT max_configs or the cancel flag, so a run interrupted by a
+// budget or deadline resumes under a new budget.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +41,10 @@
 #include "wfregs/storage/record_log.hpp"
 
 namespace wfregs::storage {
+
+/// The file magic of both checkpoint logs.
+inline constexpr LogMagic kCheckpointLogMagic = {'W', 'F', 'R', 'L',
+                                                 'O', 'G', '0', '1'};
 
 /// One suspended DFS frame: the node's interned id, where its child
 /// enumeration stands (steps[step_idx], nondeterministic choice `choice`),
@@ -115,14 +120,14 @@ class FrontierCheckpoint {
   using KeySource = std::function<void(std::uint32_t id, std::uint32_t* parent,
                                        std::vector<std::uint64_t>* words)>;
 
-  /// Opens (and heals) both logs.  When `resume` holds and the newest
+  /// Opens (and heals) both logs, reading each once.  When the newest
   /// usable snapshot matches the fingerprint, feeds its interned keys
   /// through `key_cb` in id order, truncates both logs to that snapshot's
   /// boundary and returns it (finished snapshots return immediately with no
   /// keys fed -- the stored outcome stands on its own).  Otherwise both
   /// logs are reset empty and nullopt is returned.
   std::optional<FrontierSnapshot> open(std::uint64_t fp_hi,
-                                       std::uint64_t fp_lo, bool resume,
+                                       std::uint64_t fp_lo,
                                        const KeyCallback& key_cb);
 
   /// Durably appends the keys [keys_on_disk, snap.interned) -- pulled from
@@ -144,8 +149,8 @@ class FrontierCheckpoint {
 
  private:
   std::string dir_;
-  std::unique_ptr<RecordLogWriter> frontier_;
-  std::unique_ptr<RecordLogWriter> arena_;
+  std::unique_ptr<RecordLog> frontier_;
+  std::unique_ptr<RecordLog> arena_;
   std::uint32_t keys_on_disk_ = 0;
 };
 

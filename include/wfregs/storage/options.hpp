@@ -41,23 +41,13 @@ struct StorageOptions {
   std::size_t keyframe_interval = 32;
 
   /// Directory for crash-safe frontier checkpoints.  Empty = checkpointing
-  /// (and resume) disabled.
+  /// (and resume) disabled.  A compatible checkpoint found there is resumed;
+  /// a fingerprint mismatch (different root / access-bound tracking /
+  /// max_depth) starts fresh.
   std::string checkpoint_dir;
 
   /// Write a checkpoint every this many newly interned configurations.
   std::size_t checkpoint_every_configs = 65536;
-
-  /// When true (the default) and checkpoint_dir holds a compatible
-  /// checkpoint, the exploration resumes from it instead of starting fresh.
-  /// Fingerprint mismatches (different root / reduction / tracking /
-  /// max_depth) always start fresh.
-  bool resume = true;
-
-  /// Optional directory whose checkpoint state seeds checkpoint_dir before
-  /// opening (frontier.log / arena.log are copied in, overwriting).  The
-  /// run itself always checkpoints into checkpoint_dir; resume_from is a
-  /// read-only source, useful for resuming from a snapshotted copy.
-  std::string resume_from;
 
   /// True when any storage machinery is requested; the explorers dispatch
   /// to the out-of-core engine iff this holds.

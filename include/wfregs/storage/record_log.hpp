@@ -1,43 +1,56 @@
-// Append-only CRC'd record logs: the VerdictStore's proven crash-safety
-// machinery (one write() per record, CRC-32 payload checksums, torn-tail
-// truncation on replay), factored out of src/service/store.cpp so the
-// storage layer's checkpoint files speak the same format discipline.
+// The one crash-safe log: an append-only file of CRC'd records, written one
+// write() per record and replayed with torn-tail truncation.  The verdict
+// store (service/store.hpp) and the checkpoint logs (checkpoint.hpp) are
+// both RecordLogs; they differ only in their file magic and in what their
+// payloads hold.
 //
-// File layout: an 8-byte magic header followed by records
+// File layout: an 8-byte, per-kind file magic followed by records
 //
 //   [magic u32 "WFR1"] [tag u32] [payload_len u32] [crc32 u32] [payload...]
 //
-// all little-endian.  `tag` is caller-defined (the checkpoint layer uses it
-// to distinguish snapshot records from key-batch records).  A reader accepts
-// the longest valid prefix and reports how many trailing bytes it dropped; a
-// writer positioned by open_record_log() truncates that torn tail before the
-// first append so every append lands on a clean record boundary.
+// all little-endian (bytes.hpp).  `tag` is caller-defined.  The CRC covers
+// the payload; a record whose magic, length or CRC does not check ends the
+// valid prefix.  Opening a log replays it once, hands the CRC-clean records
+// to the caller and truncates everything after them, so every append lands
+// on a clean record boundary and a crash loses at most the record being
+// written.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace wfregs::storage {
 
-/// Standard CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) -- the
-/// same function the VerdictStore has always used; service/store.cpp now
-/// calls this one.
+/// Standard CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320).
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size) noexcept;
+
+/// The 8 bytes a log file starts with; they name what the log holds.
+using LogMagic = std::array<char, 8>;
+
+/// Size of the file magic.
+inline constexpr std::size_t kRecordLogHeaderBytes = 8;
+/// Size of a record's framing: magic, tag, payload_len, crc32.
+inline constexpr std::size_t kRecordFrameBytes = 16;
 
 struct LogRecord {
   std::uint32_t tag = 0;
   std::vector<std::uint8_t> payload;
-  /// Byte offset one past this record's end (from the start of the file,
-  /// header included): the truncation point that keeps this record and
-  /// drops everything after it.
+  /// Byte offset of the record's framing from the start of the file.
+  std::uint64_t offset = 0;
+  /// Byte offset one past the record's end: the truncation point that keeps
+  /// this record and drops everything after it.
   std::uint64_t end_offset = 0;
 };
 
 struct LogContents {
-  /// True when the file exists and starts with a valid header.
+  /// True when the file exists and starts with the expected magic.
   bool present = false;
+  /// The CRC-clean prefix, in file order.
   std::vector<LogRecord> records;
   /// Total file bytes and how many trailing bytes failed validation (torn
   /// or corrupt tail).
@@ -45,48 +58,65 @@ struct LogContents {
   std::uint64_t dropped_bytes = 0;
 };
 
-/// Reads and validates `path`.  Missing file: present == false.  A file
-/// that exists but lacks the header is reported as present == false with
-/// file_bytes set (the caller decides whether that is fatal).
-LogContents read_record_log(const std::string& path);
+/// Replays `path` without changing it.  A missing file, or one that does not
+/// start with `magic`, is present == false (file_bytes still set).
+LogContents read_record_log(const std::string& path, const LogMagic& magic);
 
-/// Append-only writer.  Creating one opens (or creates) the file, writes
-/// the header when the file is empty, validates existing contents and
-/// truncates any torn tail, leaving the write position at the end of the
-/// last valid record.  Throws std::runtime_error on I/O failure.
-class RecordLogWriter {
+class RecordLog {
  public:
-  explicit RecordLogWriter(std::string path);
-  ~RecordLogWriter();
-  RecordLogWriter(const RecordLogWriter&) = delete;
-  RecordLogWriter& operator=(const RecordLogWriter&) = delete;
+  /// Opens (or creates) the log at `path`; an empty path gives an anonymous
+  /// memfd that nothing persists.  An empty file gets `magic` written; any
+  /// other file must start with it, or the constructor throws
+  /// std::runtime_error and leaves the file untouched.  The file is then
+  /// replayed once (take_records()) and its torn tail truncated.  Throws
+  /// std::runtime_error on I/O failure.
+  RecordLog(std::string path, const LogMagic& magic);
+  ~RecordLog();
+  RecordLog(const RecordLog&) = delete;
+  RecordLog& operator=(const RecordLog&) = delete;
 
-  /// Appends one record with a single write() (a SIGKILL between appends
-  /// never tears a record; a machine crash can leave a prefix, which the
-  /// next reader truncates).
-  void append(std::uint32_t tag, const std::uint8_t* payload,
-              std::size_t payload_len);
+  /// The CRC-clean records found at open, in file order, moved out to the
+  /// caller (a second call returns none).
+  std::vector<LogRecord> take_records() {
+    return std::exchange(replayed_, {});
+  }
+
+  /// Bytes truncated at open as a torn or corrupt tail.
+  std::uint64_t dropped_bytes() const { return dropped_bytes_; }
+
+  /// Appends one record with a single write at the end of the log and
+  /// returns its offset.  A SIGKILL between appends never tears a record;
+  /// a machine crash can leave a prefix, which the next open truncates.
+  std::uint64_t append(std::uint32_t tag, const std::uint8_t* payload,
+                       std::size_t payload_len);
+
+  /// Reads the record at `offset` back with a single pread and re-checks
+  /// its magic, tag, length and CRC: the payload when they match what
+  /// append() wrote, nullopt when they do not.  Throws std::runtime_error on
+  /// an I/O error or a record that lies past the end of the log.
+  std::optional<std::vector<std::uint8_t>> read_at(
+      std::uint64_t offset, std::uint32_t tag, std::uint32_t payload_len) const;
 
   /// fdatasync the log: on return every previously appended record is
-  /// durable.  Checkpoint writers call this between the key-batch append
-  /// and the snapshot append that references it.
+  /// durable.
   void sync();
 
-  /// Truncates the file to `bytes` (a record boundary from LogRecord::
-  /// end_offset, or the header size to clear the log) and repositions the
-  /// writer there.
+  /// Truncates the file to `bytes` (a record boundary, or
+  /// kRecordLogHeaderBytes to clear the log); the next append lands there.
   void truncate_to(std::uint64_t bytes);
 
   std::uint64_t file_bytes() const { return file_bytes_; }
   const std::string& path() const { return path_; }
 
  private:
+  /// Writes `size` bytes at the end of the log and advances it.
+  void append_bytes(const std::uint8_t* data, std::size_t size);
+
   std::string path_;
   int fd_ = -1;
   std::uint64_t file_bytes_ = 0;
+  std::vector<LogRecord> replayed_;
+  std::uint64_t dropped_bytes_ = 0;
 };
-
-/// Size of the file header ("WFRLOG01").
-inline constexpr std::size_t kRecordLogHeaderBytes = 8;
 
 }  // namespace wfregs::storage

@@ -205,10 +205,6 @@ ConsensusCheckResult check_consensus(
       // subdirectory and resumes independently.
       explore_options.storage.checkpoint_dir =
           options.storage.checkpoint_dir + "/root" + std::to_string(vec);
-      if (!options.storage.resume_from.empty()) {
-        explore_options.storage.resume_from =
-            options.storage.resume_from + "/root" + std::to_string(vec);
-      }
     }
     auto out =
         explore_parallel(root, check, explore_options, options.threads);

@@ -40,7 +40,6 @@
 #include "wfregs/runtime/explorer.hpp"
 
 #include <algorithm>
-#include <filesystem>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -421,21 +420,7 @@ class SequentialExplorer {
   /// Opens the checkpoint directory and resumes when possible.  Returns an
   /// outcome only when a finished snapshot short-circuits the whole run.
   std::optional<ExploreOutcome> open_checkpoint(const Engine& root) {
-    namespace fs = std::filesystem;
     const std::string& dir = options_.storage.checkpoint_dir;
-    const std::string& from = options_.storage.resume_from;
-    if (!from.empty() && from != dir && fs::exists(from)) {
-      // resume_from seeds the checkpoint dir with another directory's
-      // state (e.g. a copy snapshotted before a risky change); the run
-      // itself always checkpoints into checkpoint_dir.
-      fs::create_directories(dir);
-      for (const char* name : {"frontier.log", "arena.log"}) {
-        if (fs::exists(fs::path(from) / name)) {
-          fs::copy_file(fs::path(from) / name, fs::path(dir) / name,
-                        fs::copy_options::overwrite_existing);
-        }
-      }
-    }
     ckpt_ = std::make_unique<FrontierCheckpoint>(dir);
     std::size_t fed = 0;
     const auto key_cb = [&](std::uint32_t id, std::uint32_t parent,
@@ -449,7 +434,7 @@ class SequentialExplorer {
       push_node_slot();
       ++fed;
     };
-    auto snap = ckpt_->open(fp_hi_, fp_lo_, options_.storage.resume, key_cb);
+    auto snap = ckpt_->open(fp_hi_, fp_lo_, key_cb);
     if (!snap) {
       if (fed != 0) {
         // A snapshot was abandoned mid-feed (malformed batch): rebuild the

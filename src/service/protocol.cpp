@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "wfregs/storage/bytes.hpp"
+
 namespace wfregs::service {
 
 namespace {
@@ -47,11 +49,10 @@ bool read_all(int fd, std::uint8_t* data, std::size_t size) {
 }  // namespace
 
 void write_frame(int fd, const Frame& frame) {
-  const std::uint32_t len = static_cast<std::uint32_t>(1 + frame.payload.size());
   std::vector<std::uint8_t> buf;
-  buf.reserve(4 + len);
-  for (int k = 0; k < 4; ++k) buf.push_back((len >> (8 * k)) & 0xFF);
-  buf.push_back(static_cast<std::uint8_t>(frame.type));
+  buf.reserve(5 + frame.payload.size());
+  storage::put_u32(buf, static_cast<std::uint32_t>(1 + frame.payload.size()));
+  storage::put_u8(buf, static_cast<std::uint8_t>(frame.type));
   buf.insert(buf.end(), frame.payload.begin(), frame.payload.end());
   write_all(fd, buf.data(), buf.size());
 }
@@ -59,10 +60,8 @@ void write_frame(int fd, const Frame& frame) {
 std::optional<Frame> read_frame(int fd) {
   std::uint8_t head[4];
   if (!read_all(fd, head, 4)) return std::nullopt;
-  std::uint32_t len = 0;
-  for (int k = 0; k < 4; ++k) {
-    len |= static_cast<std::uint32_t>(head[k]) << (8 * k);
-  }
+  const std::uint32_t len =
+      storage::ByteReader(head, sizeof(head), "read_frame").u32();
   if (len < 1) throw std::runtime_error("read_frame: zero-length frame");
   if (len > kMaxFrame) throw std::runtime_error("read_frame: oversized frame");
   std::vector<std::uint8_t> body(len);
@@ -81,47 +80,17 @@ std::string pack_batch(const std::vector<std::string>& items) {
   std::size_t total = 4;
   for (const std::string& item : items) total += 4 + item.size();
   out.reserve(total);
-  const auto append_u32 = [&out](std::uint32_t v) {
-    for (int k = 0; k < 4; ++k) {
-      out.push_back(static_cast<char>((v >> (8 * k)) & 0xFF));
-    }
-  };
-  append_u32(static_cast<std::uint32_t>(items.size()));
-  for (const std::string& item : items) {
-    append_u32(static_cast<std::uint32_t>(item.size()));
-    out.append(item);
-  }
+  storage::put_u32(out, static_cast<std::uint32_t>(items.size()));
+  for (const std::string& item : items) storage::put_bytes(out, item);
   return out;
 }
 
 std::vector<std::string> unpack_batch(const std::string& payload) {
-  const auto* data = reinterpret_cast<const std::uint8_t*>(payload.data());
-  const std::size_t size = payload.size();
-  std::size_t pos = 0;
-  const auto take_u32 = [&]() -> std::uint32_t {
-    if (size - pos < 4) throw std::runtime_error("unpack_batch: truncated");
-    std::uint32_t v = 0;
-    for (int k = 0; k < 4; ++k) {
-      v |= static_cast<std::uint32_t>(data[pos + k]) << (8 * k);
-    }
-    pos += 4;
-    return v;
-  };
-  const std::uint32_t count = take_u32();
-  // Each item costs at least a 4-byte length prefix: reject counts that
-  // cannot possibly fit before reserving anything.
-  if (static_cast<std::size_t>(count) * 4 > size - pos) {
-    throw std::runtime_error("unpack_batch: item count exceeds payload");
-  }
-  std::vector<std::string> items;
-  items.reserve(count);
-  for (std::uint32_t k = 0; k < count; ++k) {
-    const std::uint32_t len = take_u32();
-    if (size - pos < len) throw std::runtime_error("unpack_batch: truncated");
-    items.emplace_back(payload, pos, len);
-    pos += len;
-  }
-  if (pos != size) throw std::runtime_error("unpack_batch: trailing bytes");
+  storage::ByteReader in(payload.data(), payload.size(), "unpack_batch");
+  // Each item costs at least its 4-byte length prefix.
+  std::vector<std::string> items(in.count(4));
+  for (std::string& item : items) item = in.string();
+  in.expect_done();
   return items;
 }
 

@@ -3,61 +3,18 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "wfregs/storage/bytes.hpp"
+
 namespace wfregs::service {
 
+using storage::ByteReader;
+using storage::put_bytes;
+using storage::put_u32;
+using storage::put_u64;
+using storage::put_u64s;
+using storage::put_u8;
+
 namespace {
-
-void push_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int k = 0; k < 4; ++k) out.push_back((v >> (8 * k)) & 0xFF);
-}
-
-void push_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int k = 0; k < 8; ++k) out.push_back((v >> (8 * k)) & 0xFF);
-}
-
-class Reader {
- public:
-  Reader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-
-  std::uint8_t u8() {
-    need(1);
-    return data_[pos_++];
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int k = 0; k < 4; ++k) {
-      v |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * k);
-    }
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int k = 0; k < 8; ++k) {
-      v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * k);
-    }
-    return v;
-  }
-  std::string bytes(std::size_t n) {
-    need(n);
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
-    pos_ += n;
-    return s;
-  }
-  bool done() const { return pos_ == size_; }
-
- private:
-  void need(std::size_t n) const {
-    if (size_ - pos_ < n) {
-      throw std::runtime_error("decode_verdict: truncated payload");
-    }
-  }
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
 
 // Version 2 added the provenance byte (after the flags byte).  Version 3
 // marks failing verdicts whose counters are the sequential explorer's at
@@ -124,27 +81,21 @@ bool operator==(const Verdict& a, const Verdict& b) {
 
 std::vector<std::uint8_t> encode_verdict(const Verdict& v) {
   std::vector<std::uint8_t> out;
-  out.push_back(kVersion);
-  out.push_back(static_cast<std::uint8_t>(v.kind));
-  out.push_back(static_cast<std::uint8_t>((v.ok ? 1 : 0) |
-                                          (v.wait_free ? 2 : 0) |
-                                          (v.complete ? 4 : 0)));
-  out.push_back(static_cast<std::uint8_t>(v.provenance));
-  push_u64(out, v.stats.configs);
-  push_u64(out, v.stats.edges);
-  push_u64(out, v.stats.terminals);
-  push_u64(out, v.stats.interned_configs);
-  push_u64(out, static_cast<std::uint64_t>(
-                    static_cast<std::int64_t>(v.stats.depth)));
-  push_u32(out, static_cast<std::uint32_t>(v.detail.size()));
-  out.insert(out.end(), v.detail.begin(), v.detail.end());
-  push_u32(out, static_cast<std::uint32_t>(v.stats.max_accesses.size()));
-  for (const std::size_t a : v.stats.max_accesses) push_u64(out, a);
-  push_u32(out, static_cast<std::uint32_t>(v.stats.max_accesses_by_inv.size()));
-  for (const auto& per : v.stats.max_accesses_by_inv) {
-    push_u32(out, static_cast<std::uint32_t>(per.size()));
-    for (const std::size_t a : per) push_u64(out, a);
-  }
+  put_u8(out, kVersion);
+  put_u8(out, static_cast<std::uint8_t>(v.kind));
+  put_u8(out, static_cast<std::uint8_t>((v.ok ? 1 : 0) | (v.wait_free ? 2 : 0) |
+                                        (v.complete ? 4 : 0)));
+  put_u8(out, static_cast<std::uint8_t>(v.provenance));
+  put_u64(out, v.stats.configs);
+  put_u64(out, v.stats.edges);
+  put_u64(out, v.stats.terminals);
+  put_u64(out, v.stats.interned_configs);
+  put_u64(out, static_cast<std::uint64_t>(
+                   static_cast<std::int64_t>(v.stats.depth)));
+  put_bytes(out, v.detail);
+  put_u64s(out, v.stats.max_accesses);
+  put_u32(out, static_cast<std::uint32_t>(v.stats.max_accesses_by_inv.size()));
+  for (const auto& per : v.stats.max_accesses_by_inv) put_u64s(out, per);
   return out;
 }
 
@@ -153,7 +104,7 @@ bool verdict_version_current(const std::uint8_t* data, std::size_t size) {
 }
 
 Verdict decode_verdict(const std::uint8_t* data, std::size_t size) {
-  Reader in(data, size);
+  ByteReader in(data, size, "decode_verdict");
   if (in.u8() != kVersion) {
     throw std::runtime_error("decode_verdict: unknown version");
   }
@@ -177,24 +128,12 @@ Verdict decode_verdict(const std::uint8_t* data, std::size_t size) {
   v.stats.terminals = in.u64();
   v.stats.interned_configs = in.u64();
   v.stats.depth = static_cast<int>(static_cast<std::int64_t>(in.u64()));
-  v.detail = in.bytes(in.u32());
-  const std::uint32_t n_acc = in.u32();
-  v.stats.max_accesses.reserve(n_acc);
-  for (std::uint32_t k = 0; k < n_acc; ++k) {
-    v.stats.max_accesses.push_back(in.u64());
-  }
-  const std::uint32_t n_obj = in.u32();
-  v.stats.max_accesses_by_inv.reserve(n_obj);
-  for (std::uint32_t g = 0; g < n_obj; ++g) {
-    const std::uint32_t n_inv = in.u32();
-    std::vector<std::size_t> per;
-    per.reserve(n_inv);
-    for (std::uint32_t k = 0; k < n_inv; ++k) per.push_back(in.u64());
-    v.stats.max_accesses_by_inv.push_back(std::move(per));
-  }
-  if (!in.done()) {
-    throw std::runtime_error("decode_verdict: trailing bytes");
-  }
+  v.detail = in.string();
+  v.stats.max_accesses = in.u64s();
+  // Each inner list takes at least its own 4-byte count.
+  v.stats.max_accesses_by_inv.resize(in.count(4));
+  for (auto& per : v.stats.max_accesses_by_inv) per = in.u64s();
+  in.expect_done();
   return v;
 }
 

@@ -451,14 +451,19 @@ TEST(JobScheduler, EarlierEncodingRecordIsRecomputedNotAnError) {
     std::ifstream in(store, std::ios::binary);
     std::vector<char> log{std::istreambuf_iterator<char>(in),
                           std::istreambuf_iterator<char>()};
-    // One record: header (magic, len, key_hi, key_lo, crc; 28 bytes),
-    // then the payload, whose first byte is the encoding version.
-    auto* rec =
-        reinterpret_cast<std::uint8_t*>(log.data() + kStoreHeaderBytes);
-    const std::size_t len = log.size() - kStoreHeaderBytes - 28;
-    rec[28] = 2;
-    const std::uint32_t crc = storage::crc32(rec + 28, len);
-    for (int k = 0; k < 4; ++k) rec[24 + k] = (crc >> (8 * k)) & 0xFF;
+    // One record after the file magic: its framing (magic, tag, len, crc;
+    // u32 each) and its payload, the job key (two u64) and then the
+    // verdict, whose first byte is the encoding version.  The CRC covers
+    // the payload.
+    auto* rec = reinterpret_cast<std::uint8_t*>(
+        log.data() + storage::kRecordLogHeaderBytes);
+    std::uint8_t* payload = rec + storage::kRecordFrameBytes;
+    const std::size_t len = log.size() - storage::kRecordLogHeaderBytes -
+                            storage::kRecordFrameBytes;
+    payload[2 * sizeof(std::uint64_t)] = 2;
+    const std::uint32_t crc = storage::crc32(payload, len);
+    std::uint8_t* crc_field = rec + 3 * sizeof(std::uint32_t);
+    for (int k = 0; k < 4; ++k) crc_field[k] = (crc >> (8 * k)) & 0xFF;
     std::ofstream out(store, std::ios::binary | std::ios::trunc);
     out.write(log.data(), static_cast<std::streamsize>(log.size()));
   }
@@ -826,8 +831,9 @@ TEST(JobScheduler, VersionTwoCheckpointIsNotResumed) {
                           .finished
                       ? 0
                       : 1;
-    const auto log = storage::read_record_log(frontier);
-    storage::RecordLogWriter writer(frontier);
+    const auto log =
+        storage::read_record_log(frontier, storage::kCheckpointLogMagic);
+    storage::RecordLog writer(frontier, storage::kCheckpointLogMagic);
     writer.truncate_to(storage::kRecordLogHeaderBytes);
     for (const storage::LogRecord& rec : log.records) {
       const auto v2 = snapshot_as_version_two(rec.payload);

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "wfregs/storage/checkpoint.hpp"
 #include "wfregs/storage/record_log.hpp"
 
 namespace wfregs::service {
@@ -61,16 +62,17 @@ void write_file(const std::string& path, const std::vector<char>& bytes,
 }
 
 /// Rewrites the record at byte `offset` of a log image as an earlier
-/// encoding would have left it: payload version byte 2, CRC recomputed, so
-/// the record is intact but stale.
+/// encoding would have left it: verdict version byte 2, CRC recomputed, so
+/// the record is intact but stale.  A record is its framing (magic, tag,
+/// len, crc; u32 each), then the job key (two u64), then the verdict.
 void downgrade_record(std::vector<char>* log, std::size_t offset) {
   auto* rec = reinterpret_cast<std::uint8_t*>(log->data() + offset);
   std::uint32_t len = 0;
-  for (int k = 0; k < 4; ++k) len |= std::uint32_t{rec[4 + k]} << (8 * k);
-  std::uint8_t* payload = rec + 28;  // magic, len, key_hi, key_lo, crc
-  payload[0] = 2;
+  for (int k = 0; k < 4; ++k) len |= std::uint32_t{rec[8 + k]} << (8 * k);
+  std::uint8_t* payload = rec + storage::kRecordFrameBytes;
+  payload[2 * sizeof(std::uint64_t)] = 2;
   const std::uint32_t crc = storage::crc32(payload, len);
-  for (int k = 0; k < 4; ++k) rec[24 + k] = (crc >> (8 * k)) & 0xFF;
+  for (int k = 0; k < 4; ++k) rec[12 + k] = (crc >> (8 * k)) & 0xFF;
 }
 
 TEST(VerdictStore, InMemoryRoundTrip) {
@@ -99,6 +101,45 @@ TEST(VerdictStore, ProvenanceSurvivesEncodingAndRejectsUnknownValues) {
   bytes[3] = 0xFF;  // version, kind, flags, provenance, ...
   EXPECT_THROW(decode_verdict(bytes.data(), bytes.size()),
                std::runtime_error);
+}
+
+TEST(VerdictStore, EncodingIsPinnedByGoldenBytes) {
+  // encode_verdict's bytes are a storage format: the store compares them
+  // for cached == fresh, and a change must come with a version bump.  One
+  // verdict with every field populated, spelled out byte by byte.
+  Verdict v;
+  v.kind = JobKind::kConsensus;
+  v.ok = true;
+  v.wait_free = true;
+  v.complete = true;
+  v.provenance = Provenance::kStatic;
+  v.detail = "ab\n";
+  v.stats.configs = 1000;
+  v.stats.edges = 2;
+  v.stats.terminals = 3;
+  v.stats.interned_configs = 0x0102030405060708;
+  v.stats.depth = 7;
+  v.stats.max_accesses = {1, 258};
+  v.stats.max_accesses_by_inv = {{3}, {}, {4, 5}};
+  const std::vector<std::uint8_t> golden = {
+      5, 2, 7, 1,                      // version, kind, flags, provenance
+      0xE8, 3, 0, 0, 0, 0, 0, 0,       // configs
+      2, 0, 0, 0, 0, 0, 0, 0,          // edges
+      3, 0, 0, 0, 0, 0, 0, 0,          // terminals
+      8, 7, 6, 5, 4, 3, 2, 1,          // interned_configs
+      7, 0, 0, 0, 0, 0, 0, 0,          // depth
+      3, 0, 0, 0, 'a', 'b', '\n',      // detail
+      2, 0, 0, 0,                      // max_accesses
+      1, 0, 0, 0, 0, 0, 0, 0,          //
+      2, 1, 0, 0, 0, 0, 0, 0,          //
+      3, 0, 0, 0,                      // max_accesses_by_inv
+      1, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0,  // {3}
+      0, 0, 0, 0,                          // {}
+      2, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0,  // {4, 5}
+      5, 0, 0, 0, 0, 0, 0, 0,              //
+  };
+  EXPECT_EQ(encode_verdict(v), golden);
+  EXPECT_TRUE(decode_verdict(golden.data(), golden.size()) == v);
 }
 
 TEST(VerdictStore, DecisionProjectionMasksEverythingButTheDecision) {
@@ -177,7 +218,7 @@ TEST(VerdictStore, EarlierEncodingRecordsAreMissesNotErrors) {
     store.put(key_of(1), verdict_of(1));
   }
   std::vector<char> bytes = read_file(path);
-  downgrade_record(&bytes, kStoreHeaderBytes);  // key 0's record
+  downgrade_record(&bytes, storage::kRecordLogHeaderBytes);  // key 0
   write_file(path, bytes, bytes.size());
   {
     VerdictStore store(path);
@@ -256,15 +297,41 @@ TEST(VerdictStore, BytesChangedOnDiskAfterPutMakeLookupFail) {
 }
 
 TEST(VerdictStore, ForeignFileIsRefusedAndItsDescriptorClosed) {
+  // Not a log; a store of the earlier "WFVSTOR1" layout (file magic, then a
+  // record of magic "WFV1", len, key_hi, key_lo, crc and a payload); and a
+  // checkpoint log.  Each must be refused, its descriptor closed and its
+  // bytes left as they were.
   const std::string path = temp_path("foreign.log");
-  write_file(path, {'n', 'o', 't', ' ', 'a', ' ', 'l', 'o', 'g'}, 9);
+  std::vector<char> old_store = {'W', 'F', 'V', 'S', 'T', 'O', 'R', '1',
+                                 'W', 'F', 'V', '1', 1, 0, 0, 0};
+  old_store.resize(old_store.size() + 8 + 8 + 4, 0);  // key, crc
+  old_store.push_back(5);
+  std::vector<char> checkpoint_log;
+  {
+    const std::string ckpt = temp_path("frontier.log");
+    std::remove(ckpt.c_str());
+    {
+      storage::RecordLog log(ckpt, storage::kCheckpointLogMagic);
+      const std::vector<std::uint8_t> snapshot = {3, 0, 0, 0};
+      log.append(1, snapshot.data(), snapshot.size());
+    }
+    checkpoint_log = read_file(ckpt);
+    std::remove(ckpt.c_str());
+  }
   const auto open_fds = [] {
     return std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
                          std::filesystem::directory_iterator{});
   };
-  const auto before = open_fds();
-  EXPECT_THROW(VerdictStore{path}, std::runtime_error);
-  EXPECT_EQ(open_fds(), before);
+  const std::vector<std::vector<char>> foreign = {
+      {'n', 'o', 't', ' ', 'a', ' ', 'l', 'o', 'g'}, old_store,
+      checkpoint_log};
+  for (const std::vector<char>& bytes : foreign) {
+    write_file(path, bytes, bytes.size());
+    const auto before = open_fds();
+    EXPECT_THROW(VerdictStore{path}, std::runtime_error);
+    EXPECT_EQ(open_fds(), before);
+    EXPECT_EQ(read_file(path), bytes);
+  }
   std::remove(path.c_str());
 }
 
@@ -333,6 +400,49 @@ TEST(VerdictStore, CorruptPayloadByteDropsOnlyTheTail) {
   std::remove(path.c_str());
 }
 
+TEST(VerdictStore, EveryBitFlipAfterTheHeaderDropsTheFlippedRecordOnward) {
+  // Every byte of a record -- framing, key and verdict -- is checked at
+  // replay, so a flipped bit anywhere after the file header truncates the
+  // log at the flipped record.  The records before it must still be served
+  // byte for byte; the flipped one and its successors must miss.
+  const std::string path = temp_path("flip.log");
+  std::remove(path.c_str());
+  std::vector<std::size_t> boundaries;  // file size after header, rec 0, 1
+  {
+    VerdictStore store(path);
+    boundaries.push_back(store.file_bytes());
+    for (std::uint64_t i = 0; i < 2; ++i) {
+      store.put(key_of(i), verdict_of(i));
+      boundaries.push_back(store.file_bytes());
+    }
+  }
+  const std::vector<char> good = read_file(path);
+  ASSERT_EQ(good.size(), boundaries.back());
+  const std::string flipped = temp_path("flip_copy.log");
+  for (std::size_t at = boundaries.front(); at < good.size(); ++at) {
+    const std::size_t kept = at < boundaries[1] ? 0 : 1;
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<char> bad = good;
+      bad[at] = static_cast<char>(bad[at] ^ (1 << bit));
+      write_file(flipped, bad, bad.size());
+      const VerdictStore store(flipped);
+      ASSERT_EQ(store.size(), kept) << "byte " << at << " bit " << bit;
+      EXPECT_GT(store.recovered_drop(), 0u) << "byte " << at << " bit " << bit;
+      for (std::uint64_t i = 0; i < 2; ++i) {
+        const auto got = store.lookup_encoded(key_of(i));
+        if (i < kept) {
+          ASSERT_TRUE(got.has_value()) << "byte " << at << " bit " << bit;
+          EXPECT_EQ(*got, encode_verdict(verdict_of(i)));
+        } else {
+          EXPECT_FALSE(got.has_value()) << "byte " << at << " bit " << bit;
+        }
+      }
+    }
+  }
+  std::remove(path.c_str());
+  std::remove(flipped.c_str());
+}
+
 TEST(VerdictStore, SigkillMidAppendRecoversEveryCommittedRecord) {
   const std::string path = temp_path("sigkill.log");
   std::remove(path.c_str());
@@ -371,15 +481,14 @@ TEST(VerdictStore, SigkillMidAppendRecoversEveryCommittedRecord) {
 /// Merges every committed record of the log at `src` into `dst` (what
 /// `wfregs_cli store-merge` does).  Returns the number of records applied.
 std::size_t merge_log_into(VerdictStore* dst, const std::string& src) {
-  const std::vector<char> bytes = read_file(src);
-  const auto* data = reinterpret_cast<const std::uint8_t*>(bytes.data());
-  EXPECT_TRUE(check_store_header(data, bytes.size()));
-  std::vector<StoreRecord> records;
-  parse_store_records(data + kStoreHeaderBytes,
-                      bytes.size() - kStoreHeaderBytes, &records);
+  const storage::LogContents log =
+      storage::read_record_log(src, kVerdictLogMagic);
+  EXPECT_TRUE(log.present);
   std::size_t applied = 0;
-  for (const StoreRecord& record : records) {
-    if (dst->merge_encoded(record.key, record.payload)) ++applied;
+  for (const storage::LogRecord& rec : log.records) {
+    const auto record = parse_verdict_record(rec);
+    if (!record) break;
+    if (dst->merge_encoded(record->key, record->verdict)) ++applied;
   }
   return applied;
 }
@@ -448,8 +557,8 @@ TEST(VerdictStoreMerge, OverlappingLogsMergeIdempotently) {
 TEST(VerdictStoreMerge, TornTailOnOneSideDropsOnlyTheTornRecord) {
   // One source log loses the back half of its final record (mid-append
   // crash); the merge must land every committed record and silently skip
-  // the torn one -- parse_store_records applies the same recovery rule as
-  // open()-time replay.
+  // the torn one -- the merge reads its source through the replay open()
+  // uses.
   const std::string a = temp_path("torn_a.log");
   const std::string b = temp_path("torn_b.log");
   const std::string merged = temp_path("torn_dst.log");
@@ -488,9 +597,27 @@ TEST(VerdictStoreMerge, EarlierEncodingRecordsAreSkippedNotFatal) {
 
 TEST(VerdictStoreMerge, PutEncodedRejectsMalformedPayloads) {
   VerdictStore store("");
-  EXPECT_THROW(store.put_encoded(key_of(0), {0x01, 0x02, 0x03}),
+  EXPECT_THROW(store.put_encoded(key_of(0), std::vector<std::uint8_t>{1, 2, 3}),
                std::runtime_error);
   EXPECT_EQ(store.size(), 0u);  // nothing committed
+  // Hostile counts: a count field claims 2^32 - 1 entries that the payload
+  // does not hold.  The decoder must refuse before reserving anything.
+  // The prefix is a default verdict up to and including its empty detail.
+  std::vector<std::uint8_t> prefix = encode_verdict(Verdict{});
+  prefix.resize(4 + 5 * 8 + 4);
+  const std::vector<std::vector<std::uint8_t>> tails = {
+      {0xFF, 0xFF, 0xFF, 0xFF},                          // max_accesses
+      {0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF},              // by_inv, outer
+      {0, 0, 0, 0, 1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF},  // by_inv, inner
+  };
+  for (const auto& tail : tails) {
+    std::vector<std::uint8_t> hostile = prefix;
+    hostile.insert(hostile.end(), tail.begin(), tail.end());
+    EXPECT_THROW(store.put_encoded(key_of(0), hostile), std::runtime_error)
+        << hostile.size() << "-byte payload";
+    EXPECT_EQ(store.size(), 0u);
+    EXPECT_FALSE(store.lookup_encoded(key_of(0)).has_value());
+  }
   // A valid payload through the encoded path reads back byte-identical.
   const std::vector<std::uint8_t> payload = encode_verdict(verdict_of(1));
   store.put_encoded(key_of(1), payload);

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <string>
 #include <unordered_map>
@@ -62,7 +63,7 @@ TEST(RecordLog, RoundTrip) {
   TempDir tmp;
   const std::string path = tmp.file("log");
   {
-    RecordLogWriter w(path);
+    RecordLog w(path, kCheckpointLogMagic);
     const auto a = bytes_of("alpha");
     const auto b = bytes_of("");
     const auto c = bytes_of(std::string(3000, 'x'));
@@ -71,7 +72,7 @@ TEST(RecordLog, RoundTrip) {
     w.append(2, c.data(), c.size());
     w.sync();
   }
-  const LogContents log = read_record_log(path);
+  const LogContents log = read_record_log(path, kCheckpointLogMagic);
   ASSERT_TRUE(log.present);
   ASSERT_EQ(log.records.size(), 3u);
   EXPECT_EQ(log.records[0].tag, 1u);
@@ -85,9 +86,10 @@ TEST(RecordLog, RoundTrip) {
 
 TEST(RecordLog, MissingAndHeaderless) {
   TempDir tmp;
-  EXPECT_FALSE(read_record_log(tmp.file("nope")).present);
+  EXPECT_FALSE(read_record_log(tmp.file("nope"), kCheckpointLogMagic).present);
   std::ofstream(tmp.file("junk")) << "not a log";
-  const LogContents junk = read_record_log(tmp.file("junk"));
+  const LogContents junk =
+      read_record_log(tmp.file("junk"), kCheckpointLogMagic);
   EXPECT_FALSE(junk.present);
   EXPECT_EQ(junk.file_bytes, 9u);
 }
@@ -100,7 +102,7 @@ TEST(RecordLog, TornTailTruncationAtEveryByte) {
   const std::string path = tmp.file("log");
   std::uint64_t two_records_end = 0;
   {
-    RecordLogWriter w(path);
+    RecordLog w(path, kCheckpointLogMagic);
     const auto a = bytes_of("first");
     const auto b = bytes_of("second-record");
     const auto c = bytes_of("third, to be torn");
@@ -116,11 +118,11 @@ TEST(RecordLog, TornTailTruncationAtEveryByte) {
     const std::string torn = tmp.file("torn");
     std::ofstream(torn, std::ios::binary)
         .write(image.data(), static_cast<std::streamsize>(cut));
-    const LogContents log = read_record_log(torn);
+    const LogContents log = read_record_log(torn, kCheckpointLogMagic);
     ASSERT_TRUE(log.present) << "cut at " << cut;
     ASSERT_EQ(log.records.size(), 2u) << "cut at " << cut;
     EXPECT_EQ(log.dropped_bytes, cut - two_records_end) << "cut at " << cut;
-    RecordLogWriter heal(torn);
+    RecordLog heal(torn, kCheckpointLogMagic);
     EXPECT_EQ(heal.file_bytes(), two_records_end) << "cut at " << cut;
   }
 }
@@ -129,7 +131,7 @@ TEST(RecordLog, CorruptPayloadDropsTail) {
   TempDir tmp;
   const std::string path = tmp.file("log");
   {
-    RecordLogWriter w(path);
+    RecordLog w(path, kCheckpointLogMagic);
     const auto a = bytes_of("kept");
     const auto b = bytes_of("to-be-corrupted");
     w.append(1, a.data(), a.size());
@@ -141,7 +143,7 @@ TEST(RecordLog, CorruptPayloadDropsTail) {
   f.seekp(-3, std::ios::end);
   f.put('!');
   f.close();
-  const LogContents log = read_record_log(path);
+  const LogContents log = read_record_log(path, kCheckpointLogMagic);
   ASSERT_TRUE(log.present);
   ASSERT_EQ(log.records.size(), 1u);
   EXPECT_EQ(log.records[0].payload, bytes_of("kept"));
@@ -151,15 +153,47 @@ TEST(RecordLog, CorruptPayloadDropsTail) {
 TEST(RecordLog, TruncateToClearsAndRepositions) {
   TempDir tmp;
   const std::string path = tmp.file("log");
-  RecordLogWriter w(path);
+  RecordLog w(path, kCheckpointLogMagic);
   const auto a = bytes_of("payload");
   w.append(1, a.data(), a.size());
   w.truncate_to(kRecordLogHeaderBytes);
   w.append(9, a.data(), a.size());
   w.sync();
-  const LogContents log = read_record_log(path);
+  const LogContents log = read_record_log(path, kCheckpointLogMagic);
   ASSERT_EQ(log.records.size(), 1u);
   EXPECT_EQ(log.records[0].tag, 9u);
+}
+
+TEST(RecordLog, ReadAtRechecksTheRecordAndAForeignMagicIsRefused) {
+  TempDir tmp;
+  const std::string path = tmp.file("log");
+  const auto a = bytes_of("first");
+  const auto b = bytes_of("second");
+  {
+    RecordLog w(path, kCheckpointLogMagic);
+    EXPECT_EQ(w.append(1, a.data(), a.size()), kRecordLogHeaderBytes);
+    const std::uint64_t at_b = w.append(2, b.data(), b.size());
+    EXPECT_EQ(at_b, kRecordLogHeaderBytes + kRecordFrameBytes + a.size());
+    EXPECT_EQ(w.read_at(at_b, 2, 6), b);
+    EXPECT_FALSE(w.read_at(at_b, 1, 6).has_value());  // another tag
+    EXPECT_FALSE(w.read_at(at_b, 2, 5).has_value());  // another length
+    EXPECT_FALSE(w.read_at(at_b - 1, 2, 6).has_value());  // no record there
+    EXPECT_THROW(w.read_at(at_b, 2, 4096), std::runtime_error);  // past end
+  }
+  // A log of another kind is refused and left byte for byte as it was.
+  const auto image = [&] {
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<char>{std::istreambuf_iterator<char>(in), {}};
+  };
+  const std::vector<char> before = image();
+  const LogMagic other = {'O', 'T', 'H', 'E', 'R', 'L', 'O', 'G'};
+  EXPECT_THROW(RecordLog(path, other), std::runtime_error);
+  EXPECT_FALSE(read_record_log(path, other).present);
+  EXPECT_EQ(image(), before);
+  // An empty path is an anonymous log with the same read-back check.
+  RecordLog anonymous("", kCheckpointLogMagic);
+  const std::uint64_t at = anonymous.append(3, a.data(), a.size());
+  EXPECT_EQ(anonymous.read_at(at, 3, 5), a);
 }
 
 TEST(SpillArena, EvictionPreservesData) {
@@ -337,7 +371,7 @@ TEST(FrontierCheckpoint, WriteOpenRoundTrip) {
       {1, 2, 3}, {1, 2, 4}, {9, 9, 9, 9}};
   {
     FrontierCheckpoint ckpt(dir);
-    const auto none = ckpt.open(0x1111, 0x2222, true,
+    const auto none = ckpt.open(0x1111, 0x2222,
                                 [](std::uint32_t, std::uint32_t,
                                    std::span<const std::uint64_t>) {});
     EXPECT_FALSE(none.has_value());
@@ -351,7 +385,7 @@ TEST(FrontierCheckpoint, WriteOpenRoundTrip) {
   std::vector<std::vector<std::uint64_t>> fed_words;
   FrontierCheckpoint reopened(dir);
   const auto got = reopened.open(
-      0x1111, 0x2222, true,
+      0x1111, 0x2222,
       [&](std::uint32_t id, std::uint32_t parent,
           std::span<const std::uint64_t> words) {
         fed_ids.push_back(id);
@@ -390,7 +424,7 @@ TEST(FrontierCheckpoint, FingerprintMismatchStartsFresh) {
   snap.frames.emplace_back();
   {
     FrontierCheckpoint ckpt(dir);
-    ckpt.open(1, 2, true,
+    ckpt.open(1, 2,
               [](std::uint32_t, std::uint32_t,
                  std::span<const std::uint64_t>) {});
     ckpt.write_snapshot(snap, [](std::uint32_t, std::uint32_t* parent,
@@ -401,7 +435,7 @@ TEST(FrontierCheckpoint, FingerprintMismatchStartsFresh) {
   }
   int fed = 0;
   FrontierCheckpoint other(dir);
-  const auto got = other.open(3, 4, true,
+  const auto got = other.open(3, 4,
                               [&](std::uint32_t, std::uint32_t,
                                   std::span<const std::uint64_t>) { ++fed; });
   EXPECT_FALSE(got.has_value());
@@ -422,7 +456,7 @@ TEST(FrontierCheckpoint, FinalSnapshotShortCircuits) {
   fin.depth = 9;
   {
     FrontierCheckpoint ckpt(dir);
-    ckpt.open(5, 6, true,
+    ckpt.open(5, 6,
               [](std::uint32_t, std::uint32_t,
                  std::span<const std::uint64_t>) {});
     fin.interned = 123;
@@ -430,7 +464,7 @@ TEST(FrontierCheckpoint, FinalSnapshotShortCircuits) {
   }
   int fed = 0;
   FrontierCheckpoint reopened(dir);
-  const auto got = reopened.open(5, 6, true,
+  const auto got = reopened.open(5, 6,
                                  [&](std::uint32_t, std::uint32_t,
                                      std::span<const std::uint64_t>) {
                                    ++fed;
@@ -460,7 +494,7 @@ TEST(FrontierCheckpoint, TornFrontierTailFallsBackToPriorSnapshot) {
   std::uint64_t first_end = 0;
   {
     FrontierCheckpoint ckpt(dir);
-    ckpt.open(7, 8, true,
+    ckpt.open(7, 8,
               [](std::uint32_t, std::uint32_t,
                  std::span<const std::uint64_t>) {});
     FrontierSnapshot snap;
@@ -481,7 +515,7 @@ TEST(FrontierCheckpoint, TornFrontierTailFallsBackToPriorSnapshot) {
   fs::resize_file(frontier, first_end + 5);  // tear the second record
   std::vector<std::uint32_t> fed;
   FrontierCheckpoint reopened(dir);
-  const auto got = reopened.open(7, 8, true,
+  const auto got = reopened.open(7, 8,
                                  [&](std::uint32_t id, std::uint32_t,
                                      std::span<const std::uint64_t>) {
                                    fed.push_back(id);
@@ -489,37 +523,6 @@ TEST(FrontierCheckpoint, TornFrontierTailFallsBackToPriorSnapshot) {
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->configs, 2u);
   EXPECT_EQ(fed, (std::vector<std::uint32_t>{0, 1}));
-}
-
-TEST(FrontierCheckpoint, ResumeFalseIgnoresExistingState) {
-  TempDir tmp;
-  const std::string dir = tmp.file("ckpt");
-  {
-    FrontierCheckpoint ckpt(dir);
-    ckpt.open(1, 1, true,
-              [](std::uint32_t, std::uint32_t,
-                 std::span<const std::uint64_t>) {});
-    FrontierSnapshot snap;
-    snap.fp_hi = 1;
-    snap.fp_lo = 1;
-    snap.interned = 1;
-    snap.node_depth_from = {-1};
-    snap.frames.emplace_back();
-    ckpt.write_snapshot(snap, [](std::uint32_t, std::uint32_t* parent,
-                                 std::vector<std::uint64_t>* words) {
-      *parent = DeltaCodec::kNoParent;
-      *words = {1};
-    });
-  }
-  int fed = 0;
-  FrontierCheckpoint reopened(dir);
-  const auto got = reopened.open(1, 1, false,
-                                 [&](std::uint32_t, std::uint32_t,
-                                     std::span<const std::uint64_t>) {
-                                   ++fed;
-                                 });
-  EXPECT_FALSE(got.has_value());
-  EXPECT_EQ(fed, 0);
 }
 
 }  // namespace

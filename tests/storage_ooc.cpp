@@ -327,33 +327,6 @@ TEST(OocExplorer, FingerprintMismatchStartsFresh) {
   ExpectIdentical(ref, out, "fresh start under different tracking");
 }
 
-TEST(OocExplorer, ResumeFromSeedsANewDirectory) {
-  TempDir tmp;
-  const Engine root = big_scenario();
-  ExploreLimits full;
-  full.stop_at_violation = false;
-  const auto ref = explore(root, full);
-
-  ExploreOptions interrupted;
-  interrupted.limits = full;
-  interrupted.limits.max_configs = 600;
-  interrupted.storage.checkpoint_dir = tmp.sub("original");
-  interrupted.storage.checkpoint_every_configs = 128;
-  ASSERT_FALSE(explore(root, interrupted).complete);
-
-  ExploreOptions seeded;
-  seeded.limits = full;
-  seeded.storage.checkpoint_dir = tmp.sub("copy");
-  seeded.storage.resume_from = tmp.sub("original");
-  const auto out = explore(root, seeded);
-  EXPECT_TRUE(out.resumed);
-  ExpectIdentical(ref, out, "resume_from copy");
-  // The original directory is untouched (still unfinished).
-  EXPECT_FALSE(storage::FrontierCheckpoint::info(tmp.sub("original"))
-                   .finished);
-  EXPECT_TRUE(storage::FrontierCheckpoint::info(tmp.sub("copy")).finished);
-}
-
 TEST(OocExplorer, VersionOneSnapshotIsRefusedAndTheRunStartsFresh) {
   // Snapshot version 1 predates byte-packed configuration keys: its key
   // batches hold one word per field.  A directory whose snapshots carry
@@ -377,10 +350,11 @@ TEST(OocExplorer, VersionOneSnapshotIsRefusedAndTheRunStartsFresh) {
   // little-endian u32), keeping the records otherwise intact.
   const std::string frontier =
       (fs::path(tmp.sub("v1")) / "frontier.log").string();
-  const auto log = storage::read_record_log(frontier);
+  const auto log =
+      storage::read_record_log(frontier, storage::kCheckpointLogMagic);
   ASSERT_FALSE(log.records.empty());
   {
-    storage::RecordLogWriter writer(frontier);
+    storage::RecordLog writer(frontier, storage::kCheckpointLogMagic);
     writer.truncate_to(storage::kRecordLogHeaderBytes);
     for (storage::LogRecord rec : log.records) {
       ASSERT_GE(rec.payload.size(), 4u);
@@ -390,7 +364,8 @@ TEST(OocExplorer, VersionOneSnapshotIsRefusedAndTheRunStartsFresh) {
     }
     writer.sync();
   }
-  EXPECT_EQ(storage::read_record_log(frontier).records.size(),
+  EXPECT_EQ(storage::read_record_log(frontier, storage::kCheckpointLogMagic)
+                .records.size(),
             log.records.size());
   EXPECT_FALSE(storage::FrontierCheckpoint::info(tmp.sub("v1")).present);
 
